@@ -499,3 +499,55 @@ func TestAdmitResultHandler(t *testing.T) {
 		mu.Unlock()
 	}
 }
+
+// TestAdmitAttachOnParsedWorkload attaches a query to a sharded chain built
+// from SliceQL text. ParseWorkload returns a query slice with spare capacity,
+// and every shard replica is built from that one Workload value: a plan that
+// appended the attached query to the slice it was given had all replicas'
+// barrier goroutines writing the same backing array, which this test shows
+// under -race. Each built plan owns its copy of the queries.
+func TestAdmitAttachOnParsedWorkload(t *testing.T) {
+	w, err := stateslice.ParseWorkload(`
+		Q1: SELECT * FROM A JOIN B ON A.key = B.key WINDOW 2000 ms;
+		Q2: SELECT * FROM A JOIN B ON A.key = B.key WINDOW 5000 ms;
+		Q3: SELECT * FROM A JOIN B ON A.key = B.key WINDOW 8000 ms;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(w.Queries) == len(w.Queries) {
+		t.Fatal("the parsed query slice has no spare capacity; the test no longer reaches the shared-append case")
+	}
+	p, err := stateslice.Build(w, stateslice.MemOpt, stateslice.WithShards(2), stateslice.WithMigratable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := p.NewSession(stateslice.RunConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := keyedInput(t)
+	for _, tp := range input[:len(input)/2] {
+		if err := sess.Feed(tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id, err := sess.Attach(stateslice.Query{Name: "Qnew", Window: 3 * stateslice.Second})
+	if err != nil {
+		t.Fatalf("Attach: %v", err)
+	}
+	for _, tp := range input[len(input)/2:] {
+		if err := sess.Feed(tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := sess.Finish()
+	if res.Err != nil {
+		t.Fatalf("session error: %v", res.Err)
+	}
+	if res.SinkCounts[id] == 0 {
+		t.Error("the attached query produced no results")
+	}
+	if len(w.Queries) != 3 {
+		t.Errorf("Attach changed the caller's workload: %d queries, want 3", len(w.Queries))
+	}
+}

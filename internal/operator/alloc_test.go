@@ -45,26 +45,23 @@ func TestTupleSplitAllocatesNothing(t *testing.T) {
 }
 
 func TestProbeAllocatesNothingPerTuple(t *testing.T) {
-	in := stream.NewQueue()
-	j, err := NewSlicedBinaryJoin("j", 0, 1000*stream.Second, neverMatch{}, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Unattached result/next ports discard, so only the probe itself runs.
-	// Fill the B state with females for the male to scan.
-	var mb stream.ManualBuilder
-	for i := 0; i < 100; i++ {
-		f := mb.Add(stream.StreamB, stream.Time(i))
-		in.Push(stream.RoleItem(f, stream.RoleFemale))
-	}
-	j.Step(nil, -1)
-	male := mb.Add(stream.StreamA, 200)
-	avg := testing.AllocsPerRun(200, func() {
-		in.Push(stream.RoleItem(male, stream.RoleMale))
-		j.Step(nil, -1)
-	})
-	if avg != 0 {
-		t.Errorf("probing a male over 100 females allocates %.2f objects, want 0", avg)
+	// The generic Match loop, and both key-column kernels.
+	for _, pred := range []stream.JoinPredicate{neverMatch{}, stream.Equijoin{}, stream.BandJoin{B: 2}} {
+		// Unattached result/next ports discard, so only the probe itself
+		// runs: a male scanning 100 females, none of which it matches.
+		j, in, male := probeFixture(t, pred, 100)
+		var m CostMeter
+		avg := testing.AllocsPerRun(200, func() {
+			in.Push(stream.RoleItem(male, stream.RoleMale))
+			j.Step(&m, -1)
+		})
+		if avg != 0 {
+			t.Errorf("%s: probing a male over 100 females allocates %.2f objects, want 0", pred, avg)
+		}
+		// AllocsPerRun makes one warm-up call before its 200 runs.
+		if want := uint64(201 * 100); m.Probe != want {
+			t.Errorf("%s: %d probe comparisons charged, want one per female per male (%d)", pred, m.Probe, want)
+		}
 	}
 }
 

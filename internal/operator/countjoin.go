@@ -21,11 +21,10 @@ import (
 type CountWindowJoin struct {
 	name   string
 	ca, cb int
-	pred   stream.JoinPredicate
+	prober prober
 	in     *stream.Queue
 	states [2]*stream.State
 	out    Port
-	slab   stream.TupleSlab
 }
 
 // NewCountWindowJoin builds a count-based window join.
@@ -37,7 +36,7 @@ func NewCountWindowJoin(name string, ca, cb int, pred stream.JoinPredicate, in *
 		name:   name,
 		ca:     ca,
 		cb:     cb,
-		pred:   pred,
+		prober: newProber(pred),
 		in:     in,
 		states: [2]*stream.State{stream.NewState(), stream.NewState()},
 	}, nil
@@ -71,19 +70,7 @@ func (j *CountWindowJoin) Step(m *CostMeter, max int) int {
 		// join tuples that its own insertion would evict concurrently
 		// on the other side; probing before inserting preserves the
 		// "last C at arrival" semantics).
-		opp := j.states[t.Stream.Other()]
-		sa, sb := opp.Spans()
-		m.probe(len(sa) + len(sb))
-		for _, o := range sa {
-			if matches(j.pred, t, o) {
-				j.emit(t, o)
-			}
-		}
-		for _, o := range sb {
-			if matches(j.pred, t, o) {
-				j.emit(t, o)
-			}
-		}
+		j.prober.probe(m, j.states[t.Stream.Other()], t, &j.out)
 		// Insert and evict by capacity.
 		own := j.states[t.Stream]
 		own.Insert(t)
@@ -100,14 +87,6 @@ func (j *CountWindowJoin) Step(m *CostMeter, max int) int {
 	return n
 }
 
-func (j *CountWindowJoin) emit(t, o *stream.Tuple) {
-	if t.Stream == stream.StreamA {
-		j.out.PushTuple(j.slab.Joined(t, o))
-	} else {
-		j.out.PushTuple(j.slab.Joined(o, t))
-	}
-}
-
 // SlicedCountBinaryJoin is a count-based slice [Cstart, Cend) of a binary
 // join chain: each side's state holds the tuples whose recency rank within
 // their stream lies in the slice interval. Female copies fill states and
@@ -116,12 +95,11 @@ func (j *CountWindowJoin) emit(t, o *stream.Tuple) {
 type SlicedCountBinaryJoin struct {
 	name         string
 	cstart, cend int
-	pred         stream.JoinPredicate
+	prober       prober
 	in           *stream.Queue
 	states       [2]*stream.State
 	result       Port
 	next         Port
-	slab         stream.TupleSlab
 }
 
 // NewSlicedCountBinaryJoin builds a sliced count-based binary join for the
@@ -134,7 +112,7 @@ func NewSlicedCountBinaryJoin(name string, cstart, cend int, pred stream.JoinPre
 		name:   name,
 		cstart: cstart,
 		cend:   cend,
-		pred:   pred,
+		prober: newProber(pred),
 		in:     in,
 		states: [2]*stream.State{stream.NewState(), stream.NewState()},
 	}, nil
@@ -181,19 +159,7 @@ func (j *SlicedCountBinaryJoin) Step(m *CostMeter, max int) int {
 				j.next.Push(stream.RoleItem(own.PopFront(), stream.RoleFemale))
 			}
 		case stream.RoleMale:
-			opp := j.states[t.Stream.Other()]
-			sa, sb := opp.Spans()
-			m.probe(len(sa) + len(sb))
-			for _, f := range sa {
-				if matches(j.pred, t, f) {
-					j.emitSliced(t, f)
-				}
-			}
-			for _, f := range sb {
-				if matches(j.pred, t, f) {
-					j.emitSliced(t, f)
-				}
-			}
+			j.prober.probe(m, j.states[t.Stream.Other()], t, &j.result)
 			j.next.Push(stream.RoleItem(t, stream.RoleMale))
 			j.result.PushPunct(t.Time)
 		default:
@@ -201,12 +167,4 @@ func (j *SlicedCountBinaryJoin) Step(m *CostMeter, max int) int {
 		}
 	}
 	return n
-}
-
-func (j *SlicedCountBinaryJoin) emitSliced(t, f *stream.Tuple) {
-	if t.Stream == stream.StreamA {
-		j.result.PushTuple(j.slab.Joined(t, f))
-	} else {
-		j.result.PushTuple(j.slab.Joined(f, t))
-	}
 }

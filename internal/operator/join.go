@@ -28,8 +28,7 @@ type WindowJoin struct {
 	states [2]*stream.State
 	out    Port
 	hash   bool
-	// slab amortizes the joined-result allocations.
-	slab stream.TupleSlab
+	prober prober
 }
 
 // NewWindowJoin builds a regular sliding-window join. wa is the window on
@@ -43,6 +42,7 @@ func NewWindowJoin(name string, wa, wb stream.Time, pred stream.JoinPredicate, i
 		wa:     wa,
 		wb:     wb,
 		pred:   pred,
+		prober: newProber(pred),
 		in:     in,
 		states: [2]*stream.State{stream.NewState(), stream.NewState()},
 	}, nil
@@ -117,39 +117,10 @@ func (j *WindowJoin) probe(m *CostMeter, st *stream.State, t *stream.Tuple) {
 		m.hash(1)
 		bucket := st.Bucket(t.Key)
 		m.probe(len(bucket))
-		for _, o := range bucket {
-			j.emit(t, o)
-		}
+		j.prober.emit(t, bucket, &j.out)
 		return
 	}
-	sa, sb := st.Spans()
-	m.probe(len(sa) + len(sb))
-	for _, o := range sa {
-		if matches(j.pred, t, o) {
-			j.emit(t, o)
-		}
-	}
-	for _, o := range sb {
-		if matches(j.pred, t, o) {
-			j.emit(t, o)
-		}
-	}
-}
-
-func (j *WindowJoin) emit(t, o *stream.Tuple) {
-	if t.Stream == stream.StreamA {
-		j.out.PushTuple(j.slab.Joined(t, o))
-	} else {
-		j.out.PushTuple(j.slab.Joined(o, t))
-	}
-}
-
-// matches evaluates the join predicate with the stream-A tuple first.
-func matches(pred stream.JoinPredicate, t, o *stream.Tuple) bool {
-	if t.Stream == stream.StreamA {
-		return pred.Match(t, o)
-	}
-	return pred.Match(o, t)
+	j.prober.probe(m, st, t, &j.out)
 }
 
 // purgeExpired removes tuples from the front of st whose age relative to now

@@ -20,7 +20,7 @@ import (
 type SlicedOneWayJoin struct {
 	name         string
 	wstart, wend stream.Time
-	pred         stream.JoinPredicate
+	prober       prober
 	in           *stream.Queue
 	stateA       *stream.State
 	result       Port
@@ -29,8 +29,6 @@ type SlicedOneWayJoin struct {
 	// of the paper: "self-purge is also applicable"). Table 2's rows 9-10
 	// are only reproducible with it enabled; see the slicetrace command.
 	selfPurge bool
-	// slab amortizes the joined-result allocations.
-	slab stream.TupleSlab
 }
 
 // NewSlicedOneWayJoin builds a sliced one-way join for the window range
@@ -43,7 +41,7 @@ func NewSlicedOneWayJoin(name string, wstart, wend stream.Time, pred stream.Join
 		name:   name,
 		wstart: wstart,
 		wend:   wend,
-		pred:   pred,
+		prober: newProber(pred),
 		in:     in,
 		stateA: stream.NewState(),
 	}, nil
@@ -100,18 +98,7 @@ func (j *SlicedOneWayJoin) Step(m *CostMeter, max int) int {
 		}
 		// Arriving B tuple: cross-purge, probe, propagate (Figure 6).
 		purgeExpired(m, j.stateA, t.Time, j.wend, &j.next)
-		sa, sb := j.stateA.Spans()
-		m.probe(len(sa) + len(sb))
-		for _, a := range sa {
-			if j.pred.Match(a, t) {
-				j.result.PushTuple(j.slab.Joined(a, t))
-			}
-		}
-		for _, a := range sb {
-			if j.pred.Match(a, t) {
-				j.result.PushTuple(j.slab.Joined(a, t))
-			}
-		}
+		j.prober.probe(m, j.stateA, t, &j.result)
 		j.next.PushTuple(t)
 		j.result.PushPunct(t.Time)
 	}

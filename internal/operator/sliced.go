@@ -23,6 +23,7 @@ type SlicedBinaryJoin struct {
 	name         string
 	wstart, wend stream.Time
 	pred         stream.JoinPredicate
+	prober       prober
 	in           *stream.Queue
 	states       [2]*stream.State // female tuples per stream
 	result       Port
@@ -34,8 +35,6 @@ type SlicedBinaryJoin struct {
 	// timestamp lower-bounds every future probing male of the other
 	// stream.
 	selfPurge bool
-	// slab amortizes the joined-result allocations of this slice.
-	slab stream.TupleSlab
 }
 
 // NewSlicedBinaryJoin builds a sliced binary join for the window range
@@ -49,6 +48,7 @@ func NewSlicedBinaryJoin(name string, wstart, wend stream.Time, pred stream.Join
 		wstart: wstart,
 		wend:   wend,
 		pred:   pred,
+		prober: newProber(pred),
 		in:     in,
 		states: [2]*stream.State{stream.NewState(), stream.NewState()},
 	}, nil
@@ -138,34 +138,8 @@ func (j *SlicedBinaryJoin) processMale(m *CostMeter, t *stream.Tuple) {
 	opp := j.states[t.Stream.Other()]
 	// 1. Cross-purge the opposite state into the next slice.
 	purgeExpired(m, opp, t.Time, j.wend, &j.next)
-	// 2. Probe the surviving opposite females. The two spans cover the
-	// state oldest-first with plain slice iteration; they stay valid
-	// because emit never mutates the state.
-	sa, sb := opp.Spans()
-	m.probe(len(sa) + len(sb))
-	if t.Stream == stream.StreamA {
-		for _, f := range sa {
-			if j.pred.Match(t, f) {
-				j.result.PushTuple(j.slab.Joined(t, f))
-			}
-		}
-		for _, f := range sb {
-			if j.pred.Match(t, f) {
-				j.result.PushTuple(j.slab.Joined(t, f))
-			}
-		}
-	} else {
-		for _, f := range sa {
-			if j.pred.Match(f, t) {
-				j.result.PushTuple(j.slab.Joined(f, t))
-			}
-		}
-		for _, f := range sb {
-			if j.pred.Match(f, t) {
-				j.result.PushTuple(j.slab.Joined(f, t))
-			}
-		}
-	}
+	// 2. Probe the surviving opposite females.
+	j.prober.probe(m, opp, t, &j.result)
 	// 3. Propagate the male to the next slice.
 	j.next.Push(stream.RoleItem(t, stream.RoleMale))
 	j.result.PushPunct(t.Time)

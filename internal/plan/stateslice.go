@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"stateslice/internal/engine"
@@ -115,6 +116,9 @@ func BuildStateSlice(w Workload, cfg StateSliceConfig) (*StateSlicePlan, error) 
 			return nil, err
 		}
 	}
+	// The plan owns its query list: Attach appends to it, and every shard
+	// replica is built from the same Workload value.
+	w.Queries = slices.Clone(w.Queries)
 	sp := &StateSlicePlan{
 		Plan: &engine.Plan{Name: name},
 		w:    w,

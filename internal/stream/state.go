@@ -10,11 +10,17 @@ package stream
 // contiguous slices so the probe loop of a sliced join touches tuples with
 // plain slice iteration — no per-element index arithmetic at all.
 //
+// Next to the tuple ring the state keeps a key column: keys[i] == buf[i].Key
+// for every occupied slot. Probe scans that dense column for the predicates
+// that read nothing but the key, and dereferences a tuple only on a hit (see
+// probe.go and DESIGN.md "Window state layout").
+//
 // When a hash index is attached (WithIndex), probes for equijoin predicates
 // touch only the matching bucket, modelling the hash-join variant the paper
 // cites from Kang et al. [14].
 type State struct {
 	buf   []*Tuple
+	keys  []int64 // keys[i] == buf[i].Key wherever buf[i] != nil
 	head  int
 	n     int
 	index map[int64][]*Tuple // optional equijoin index: Key -> tuples
@@ -24,7 +30,9 @@ type State struct {
 const stateInitCap = 16
 
 // NewState returns an empty window state.
-func NewState() *State { return &State{buf: make([]*Tuple, stateInitCap)} }
+func NewState() *State {
+	return &State{buf: make([]*Tuple, stateInitCap), keys: make([]int64, stateInitCap)}
+}
 
 // WithIndex enables the hash index on the state and returns it.
 func (s *State) WithIndex() *State {
@@ -82,7 +90,8 @@ func (s *State) Insert(t *Tuple) {
 	if s.n == len(s.buf) {
 		s.grow()
 	}
-	s.buf[(s.head+s.n)&(len(s.buf)-1)] = t
+	i := (s.head + s.n) & (len(s.buf) - 1)
+	s.buf[i], s.keys[i] = t, t.Key
 	s.n++
 	if s.index != nil {
 		s.index[t.Key] = append(s.index[t.Key], t)
@@ -154,6 +163,9 @@ func (s *State) grow() {
 	nb := make([]*Tuple, 2*len(s.buf))
 	n := copy(nb, s.buf[s.head:])
 	copy(nb[n:], s.buf[:s.head])
-	s.buf = nb
+	nk := make([]int64, len(nb))
+	copy(nk, s.keys[s.head:])
+	copy(nk[n:], s.keys[:s.head])
+	s.buf, s.keys = nb, nk
 	s.head = 0
 }

@@ -71,6 +71,10 @@ type Tuple struct {
 	// Stream is the origin stream of a source tuple. Joined tuples keep
 	// the stream of the probing (male) side for bookkeeping.
 	Stream ID
+	// Role marks male/female reference copies inside a sliced join chain.
+	// It sits next to Stream so the two one-byte fields share a word: the
+	// struct is 80 bytes, which is also its allocation size class.
+	Role Role
 	// Key is the equijoin attribute (e.g. LocationId in the paper's
 	// motivating queries).
 	Key int64
@@ -78,8 +82,6 @@ type Tuple struct {
 	// uniformly distributed in [0,1) by the generator so that a threshold
 	// predicate "Value >= 1-s" has selectivity exactly s.
 	Value float64
-	// Role marks male/female reference copies inside a sliced join chain.
-	Role Role
 	// Level is the lineage mark of Section 6.1: the index of the last
 	// slice this tuple can contribute to, given the disjunction of the
 	// pushed-down selection predicates. Zero means "not marked".

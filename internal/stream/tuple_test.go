@@ -1,6 +1,9 @@
 package stream
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestIDOther(t *testing.T) {
 	if StreamA.Other() != StreamB || StreamB.Other() != StreamA {
@@ -82,5 +85,13 @@ func TestTupleString(t *testing.T) {
 	var nilT *Tuple
 	if nilT.String() != "<nil>" {
 		t.Error("nil tuple String")
+	}
+}
+
+func TestTupleFitsThe80ByteSizeClass(t *testing.T) {
+	// Stream and Role share a word. One more word and every tuple costs a
+	// 96-byte allocation.
+	if size := unsafe.Sizeof(Tuple{}); size > 80 {
+		t.Fatalf("Tuple is %d bytes, want <= 80", size)
 	}
 }
