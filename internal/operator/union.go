@@ -46,8 +46,10 @@ func (u *Union) AttachInput(q *stream.Queue) {
 // CloseInput marks an input as finished: no further tuples will ever be
 // pushed to it. Residual queued tuples are still emitted in order, but the
 // input no longer blocks merge progress. Chain migration (Section 5.3)
-// closes the result edges of slices it replaces. It returns false when q is
-// not an input of the union.
+// closes the result edges of slices it replaces. The input stays registered
+// until DropClosed reclaims it once drained, which the chain does inside the
+// closing restructure's barrier. It returns false when q is not an input of
+// the union.
 func (u *Union) CloseInput(q *stream.Queue) bool {
 	for i, in := range u.ins {
 		if in == q {
@@ -58,12 +60,36 @@ func (u *Union) CloseInput(q *stream.Queue) bool {
 	return false
 }
 
+// DropClosed unregisters every input whose frontier is MaxTime (closed, or
+// punctuated to the end of time) and whose queue is empty. Such an input can
+// neither emit nor constrain the merge, so dropping it changes no output;
+// the survivors keep their relative order, so ties on (Time, Seq) still
+// resolve as before. When every input qualifies, they are all kept until the
+// union has forwarded its own MaxTime punctuation: with no inputs left
+// forwardPunct has nothing to forward, and downstream merges complete on
+// that punctuation. Restructure barriers call it while nothing is in flight.
+func (u *Union) DropClosed() {
+	n := 0
+	for i, q := range u.ins {
+		if u.frontiers[i] != stream.MaxTime || !q.Empty() {
+			u.ins[n], u.frontiers[n] = q, u.frontiers[i]
+			n++
+		}
+	}
+	if n == 0 && u.lastPunct != stream.MaxTime {
+		return // nothing was moved, so every input is still in place
+	}
+	clear(u.ins[n:])
+	u.ins, u.frontiers = u.ins[:n], u.frontiers[:n]
+}
+
 // Inputs returns the number of registered inputs.
 func (u *Union) Inputs() int { return len(u.ins) }
 
-// InputSnapshot returns the registered input queues in merge order (closed
-// inputs included). Checkpointing reads it to record the tie order of the
-// live chain.
+// InputSnapshot returns the registered input queues in merge order. Closed
+// inputs are included until a restructure barrier reclaims them
+// (DropClosed). Checkpointing reads it to record the tie order of the live
+// chain.
 func (u *Union) InputSnapshot() []*stream.Queue {
 	return append([]*stream.Queue(nil), u.ins...)
 }

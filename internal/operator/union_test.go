@@ -168,6 +168,116 @@ func TestUnionCloseInput(t *testing.T) {
 	}
 }
 
+// lastPunctOf drains a port queue and returns its last punctuation (-1 when
+// none arrived).
+func lastPunctOf(out *stream.Queue) stream.Time {
+	last := stream.Time(-1)
+	for !out.Empty() {
+		if it := out.Pop(); it.IsPunct() {
+			last = it.Punct
+		}
+	}
+	return last
+}
+
+func TestUnionDropClosedKeepsResidue(t *testing.T) {
+	u := NewUnion("u")
+	in1, in2 := u.AddInput(), u.AddInput()
+	out := u.Out().NewQueue()
+	in2.PushTuple(mkResult(5, 4)) // residue on the input being closed
+	u.CloseInput(in2)
+	if u.DropClosed(); u.Inputs() != 2 {
+		t.Fatalf("DropClosed left %d inputs while the closed input holds residue, want 2", u.Inputs())
+	}
+	in1.PushPunct(10)
+	u.Step(nil, -1)
+	if got := drainPort(out); len(got) != 1 || got[0].Time != 5 {
+		t.Fatalf("residue of the closed input not emitted: %v", got)
+	}
+	if u.DropClosed(); len(u.InputSnapshot()) != 1 || u.InputSnapshot()[0] != in1 {
+		t.Fatalf("after draining: %d inputs left, want only the open one", u.Inputs())
+	}
+}
+
+func TestUnionDropClosedAllClosedWaitsForMaxTime(t *testing.T) {
+	// A detached query's union: every input closed and drained. Dropping
+	// them before the union forwarded MaxTime would leave forwardPunct
+	// nothing to compute it from, and downstream merges waiting on the
+	// final punctuation would never complete.
+	u := NewUnion("u")
+	in1, in2 := u.AddInput(), u.AddInput()
+	out := u.Out().NewQueue()
+	in1.PushPunct(10)
+	in2.PushPunct(10)
+	u.Step(nil, -1)
+	u.CloseInput(in1)
+	u.CloseInput(in2)
+	if u.DropClosed(); u.Inputs() != 2 {
+		t.Fatalf("DropClosed left %d inputs of an all-closed union before MaxTime was forwarded, want 2", u.Inputs())
+	}
+	u.Step(nil, -1)
+	if p := lastPunctOf(out); p != stream.MaxTime {
+		t.Fatalf("all-closed union forwarded %s, want MaxTime", p)
+	}
+	if u.DropClosed(); u.Inputs() != 0 {
+		t.Fatalf("after MaxTime: DropClosed left %d inputs, want none", u.Inputs())
+	}
+	if n := u.Step(nil, -1); n != 0 || u.Pending() || !out.Empty() {
+		t.Fatal("an input-less union must stay inert")
+	}
+}
+
+func TestUnionDropClosedKeepsTieOrder(t *testing.T) {
+	// Closed inputs interleaved with live ones: after compaction a tie on
+	// (Time, Seq) between the two live inputs still emits the lower-indexed
+	// one first, with the same comparison count as before.
+	u := NewUnion("u")
+	c1, in1, c2, in2, c3 := u.AddInput(), u.AddInput(), u.AddInput(), u.AddInput(), u.AddInput()
+	out := u.Out().NewQueue()
+	for _, q := range []*stream.Queue{c1, c2, c3} {
+		u.CloseInput(q)
+	}
+	u.DropClosed()
+	if q := u.InputSnapshot(); len(q) != 2 || q[0] != in1 || q[1] != in2 {
+		t.Fatal("survivors must keep their relative order")
+	}
+	r1, r2 := mkResult(10, 2), mkResult(10, 2)
+	in2.PushTuple(r2)
+	in2.PushPunct(10)
+	in1.PushTuple(r1)
+	in1.PushPunct(10)
+	m := &CostMeter{}
+	u.Step(m, -1)
+	got := drainPort(out)
+	if len(got) != 2 || got[0] != r1 || got[1] != r2 {
+		t.Fatal("equal keys must still emit in (compacted) input order")
+	}
+	if m.Union != 2 {
+		t.Errorf("union comparisons = %d, want 2", m.Union)
+	}
+}
+
+func TestUnionDropClosedAfterFinish(t *testing.T) {
+	// A live input that received MaxTime (the session's final flush) is as
+	// finished as a closed one.
+	u := NewUnion("u")
+	in1, in2 := u.AddInput(), u.AddInput()
+	out := u.Out().NewQueue()
+	in1.PushTuple(mkResult(10, 2))
+	in1.PushPunct(stream.MaxTime)
+	in2.PushPunct(stream.MaxTime)
+	u.Step(nil, -1)
+	if got := drainPort(out); len(got) != 1 {
+		t.Fatalf("emitted %d tuples, want 1", len(got))
+	}
+	if u.DropClosed(); u.Inputs() != 0 {
+		t.Fatalf("DropClosed left %d inputs after MaxTime on every input, want none", u.Inputs())
+	}
+	if u.Step(nil, -1) != 0 || u.Pending() || !out.Empty() {
+		t.Fatal("an input-less union must stay inert")
+	}
+}
+
 func TestUnionForwardPunct(t *testing.T) {
 	u := NewUnion("u")
 	in1, in2 := u.AddInput(), u.AddInput()

@@ -15,9 +15,10 @@ import (
 // against a live shared index. Both operations run at a feed barrier
 // (engine.Session.Barrier): every tuple fed so far is fully processed, the
 // chain is restructured while nothing is in flight, and the graph is
-// drained again so residual tuples released by closed union inputs reach
-// their sinks — the stream itself never stops, no state is rebuilt and no
-// input is replayed.
+// drained again so a detached query's union forwards its final punctuation
+// — the stream itself never stops, no state is rebuilt and no input is
+// replayed. The union inputs a restructure closes are empty at that point
+// and are reclaimed inside the same barrier (rebuildOps).
 //
 // Attach subscribes a query with window W to the existing slice prefix
 // covering W, splitting at most one slice when W falls strictly inside one
@@ -27,7 +28,9 @@ import (
 // from the start). Detach clears the slot's live mark, closes its union
 // inputs — the union then forwards a MaxTime punctuation that flushes any
 // buffered results in order — and garbage-collects trailing slices left
-// with no subscribers.
+// with no subscribers. The dead slot's union and sink leave the operator
+// list at the next restructure, once that punctuation has gone out; the
+// slot index, its sink and the results it delivered stay.
 //
 // Admission is restricted to fully unfiltered workloads: pushed-down
 // selections specialize the inter-slice gates and lineage masks to the
@@ -71,9 +74,9 @@ func (sp *StateSlicePlan) Attach(s *engine.Session, q Query) (int, error) {
 		}
 		// Append the slot — union, sink, live mark — and resubscribe
 		// every slice the new query reads from. Rewiring closes the
-		// slices' current union inputs and re-adds fresh ones for the
-		// full served set; closed inputs drain any residue in order
-		// during the barrier's final drain.
+		// slices' current union inputs, already drained by the barrier,
+		// and re-adds fresh ones for the full served set; rebuildOps
+		// reclaims the closed ones.
 		sp.w.Queries = append(sp.w.Queries, q)
 		sp.live = append(sp.live, true)
 		sink := sp.newQuerySink(qi)
@@ -101,9 +104,11 @@ func (sp *StateSlicePlan) Attach(s *engine.Session, q Query) (int, error) {
 // slot's union inputs are closed — flushing buffered results in order,
 // followed by a final MaxTime punctuation — and trailing slices left with
 // no subscribing query are garbage-collected, shrinking the chain (and its
-// window states) to the largest remaining live window. The slot itself
-// stays, inert, so indices remain stable; its sink keeps the counts and
-// results delivered before the detach. At least one live query must remain.
+// window states) to the largest remaining live window. The slot index stays
+// valid and its sink keeps the counts and results delivered before the
+// detach, but the slot is no longer scheduled: the next restructure drops
+// its union inputs and takes its union and sink out of the operator list.
+// At least one live query must remain.
 func (sp *StateSlicePlan) Detach(s *engine.Session, qi int) error {
 	if err := sp.migratable(s); err != nil {
 		return fmt.Errorf("plan: Detach: %w", err)

@@ -135,9 +135,11 @@ func (sp *StateSlicePlan) Checkpoint(s *engine.Session) (*ChainCheckpoint, error
 }
 
 // unionEdgeOrder returns the slice indices feeding slot qi's union in the
-// union's current input order. Closed inputs (left behind by restructures)
-// no longer appear in any slice's edge list and are skipped: at the barrier
-// they are drained and inert, so only the live inputs define future ties.
+// union's current input order. Every restructure reclaims the closed inputs
+// inside its own barrier (rebuildOps), so the only closed inputs left are a
+// just-detached slot's, kept until its union forwards MaxTime. Closed inputs
+// appear in no slice's edge list and are skipped: at the barrier they are
+// drained and inert, so only the live inputs define future ties.
 func (sp *StateSlicePlan) unionEdgeOrder(qi int) []int {
 	u := sp.unions[qi]
 	if u == nil {

@@ -228,7 +228,8 @@ func (sp *StateSlicePlan) migratable(s *engine.Session) error {
 }
 
 // closeEdges closes every union input fed by the node, so stale queues stop
-// blocking merge progress while their residual tuples still drain in order.
+// blocking merge progress while their residual tuples still drain in order;
+// rebuildOps unregisters them once drained.
 func (sp *StateSlicePlan) closeEdges(n *sliceNode) {
 	for _, e := range n.edges {
 		e.union.CloseInput(e.queue)

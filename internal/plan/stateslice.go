@@ -67,8 +67,9 @@ type StateSlicePlan struct {
 	// live marks which query slots subscribe to the chain. Build admits
 	// every workload query; Attach appends slots, Detach clears them.
 	// Slots are never removed — a detached query's union and sink stay in
-	// the operator list (inert once flushed) so slot indices, and the
-	// QueryIDs derived from them, stay stable for the plan's lifetime.
+	// unions and sinks so slot indices, and the QueryIDs derived from them,
+	// stay stable for the plan's lifetime; only the operator list drops them,
+	// at the first restructure after their union has flushed (rebuildOps).
 	live []bool
 	// restructuring guards the chain against reentrant surgery: a sink
 	// callback fired from inside a migration or admission barrier cannot
@@ -607,7 +608,12 @@ func dedupeTimes(ts []stream.Time) []stream.Time {
 }
 
 // rebuildOps regenerates the topological operator list after construction or
-// migration.
+// migration. Restructures call it inside their barrier, where every queue is
+// drained, so it also reclaims what restructures leave behind: each union
+// drops its closed, empty inputs, and a detached slot whose union has none
+// left (it has forwarded its final MaxTime) leaves the schedule. The
+// slot itself stays in unions, sinks and Plan.Sinks, which are indexed by
+// slot.
 func (sp *StateSlicePlan) rebuildOps() {
 	ops := append([]operator.Operator{}, sp.entryOps...)
 	var stateful []operator.StateSizer
@@ -622,13 +628,22 @@ func (sp *StateSlicePlan) rebuildOps() {
 		}
 		ops = append(ops, n.filters...)
 	}
-	for _, u := range sp.unions {
+	retired := func(qi int) bool {
+		u := sp.unions[qi]
+		return u != nil && !sp.live[qi] && u.Inputs() == 0
+	}
+	for qi, u := range sp.unions {
 		if u != nil {
-			ops = append(ops, u)
+			u.DropClosed()
+			if !retired(qi) {
+				ops = append(ops, u)
+			}
 		}
 	}
-	for _, s := range sp.sinks {
-		ops = append(ops, s)
+	for qi, s := range sp.sinks {
+		if !retired(qi) {
+			ops = append(ops, s)
+		}
 	}
 	sp.Plan.Ops = ops
 	sp.Plan.Stateful = stateful
