@@ -375,11 +375,6 @@ func TestAdmitValidation(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "WithMigratable") {
 		t.Errorf("error %q does not point at WithMigratable", err)
 	}
-	if _, err := stateslice.Build(unfiltered, stateslice.MemOpt,
-		stateslice.WithConcurrency(),
-		stateslice.WithResultHandler(func(stateslice.QueryID, *stateslice.Tuple) {})); err == nil {
-		t.Error("WithResultHandler with WithConcurrency must be rejected at Build")
-	}
 	if _, err := stateslice.Build(unfiltered, stateslice.MemOpt, stateslice.WithResultHandler(nil)); err == nil {
 		t.Error("a nil result handler must be rejected at Build")
 	}

@@ -96,8 +96,8 @@ func TestBuildEquivalence(t *testing.T) {
 }
 
 // TestWithBatchSize covers the micro-batch build option: batched runs match
-// the per-tuple default byte-for-byte, a RunConfig override wins, and the
-// invalid combinations are rejected.
+// the per-tuple default byte-for-byte, a RunConfig override wins, and a zero
+// batch size is rejected.
 func TestWithBatchSize(t *testing.T) {
 	w := exampleWorkload()
 	input := exampleInput(t)
@@ -144,24 +144,6 @@ func TestWithBatchSize(t *testing.T) {
 
 	if _, err := stateslice.Build(w, stateslice.MemOpt, stateslice.WithBatchSize(0)); err == nil {
 		t.Error("WithBatchSize(0) must be rejected")
-	}
-	unfiltered := stateslice.Workload{
-		Queries: []stateslice.Query{
-			{Window: 2 * stateslice.Second},
-			{Window: 8 * stateslice.Second},
-		},
-		Join: stateslice.FractionMatch{S: 0.15},
-	}
-	if _, err := stateslice.Build(unfiltered, stateslice.MemOpt, stateslice.WithConcurrency(), stateslice.WithBatchSize(8)); err == nil {
-		t.Error("WithBatchSize with WithConcurrency must be rejected")
-	}
-	// The RunConfig route must be rejected just as loudly.
-	cp, err := stateslice.Build(unfiltered, stateslice.MemOpt, stateslice.WithConcurrency())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cp.Run(stateslice.SliceSource(input), stateslice.RunConfig{BatchSize: 8}); err == nil {
-		t.Error("RunConfig.BatchSize on a concurrent plan must be rejected, not silently ignored")
 	}
 }
 
@@ -245,55 +227,6 @@ func TestGeneratorSourceMatchesGenerate(t *testing.T) {
 		if *streamed[i] != *batch[i] {
 			t.Fatalf("tuple %d differs: %+v vs %+v", i, streamed[i], batch[i])
 		}
-	}
-}
-
-// TestConcurrentBuild reaches the pipeline executor through Build and
-// checks its results against the sequential engine.
-func TestConcurrentBuild(t *testing.T) {
-	w := stateslice.Workload{
-		Queries: []stateslice.Query{
-			{Window: 2 * stateslice.Second},
-			{Window: 8 * stateslice.Second},
-		},
-		Join: stateslice.FractionMatch{S: 0.15},
-	}
-	input := exampleInput(t)
-
-	seq, err := stateslice.Build(w, stateslice.MemOpt, stateslice.WithCollect())
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqRes, err := seq.Run(stateslice.SliceSource(input), stateslice.RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	conc, err := stateslice.Build(w, stateslice.MemOpt, stateslice.WithCollect(), stateslice.WithConcurrency())
-	if err != nil {
-		t.Fatal(err)
-	}
-	concRes, err := conc.Run(stateslice.SliceSource(input), stateslice.RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if concRes.OrderViolations != 0 {
-		t.Error("concurrent execution broke ordering")
-	}
-	if concRes.Inputs != seqRes.Inputs {
-		t.Errorf("concurrent fed %d, sequential %d", concRes.Inputs, seqRes.Inputs)
-	}
-	if got, want := renderResults(concRes.Results), renderResults(seqRes.Results); got != want {
-		t.Error("concurrent results differ from sequential engine")
-	}
-
-	// Filtered workloads cannot run concurrently.
-	if _, err := stateslice.Build(exampleWorkload(), stateslice.MemOpt, stateslice.WithConcurrency()); err == nil {
-		t.Error("WithConcurrency must reject filtered workloads")
-	}
-	// Sessions are a sequential-engine feature.
-	if _, err := conc.NewSession(stateslice.RunConfig{}); err == nil {
-		t.Error("concurrent plans must reject sessions")
 	}
 }
 
@@ -552,21 +485,6 @@ func TestBuildOptionValidation(t *testing.T) {
 	}
 	if _, err := stateslice.Build(w, stateslice.Unshared, stateslice.WithMigratable()); err == nil {
 		t.Error("WithMigratable on unshared must fail")
-	}
-	if _, err := stateslice.Build(w, stateslice.PushDown, stateslice.WithConcurrency()); err == nil {
-		t.Error("WithConcurrency on push-down must fail")
-	}
-	unfiltered := stateslice.Workload{
-		Queries: []stateslice.Query{{Window: 2 * stateslice.Second}, {Window: 8 * stateslice.Second}},
-		Join:    stateslice.FractionMatch{S: 0.1},
-	}
-	if _, err := stateslice.Build(unfiltered, stateslice.MemOpt,
-		stateslice.WithConcurrency(), stateslice.WithEnds(8*stateslice.Second)); err == nil {
-		t.Error("WithConcurrency + WithEnds must fail rather than ignore the pinned layout")
-	}
-	if _, err := stateslice.Build(unfiltered, stateslice.MemOpt,
-		stateslice.WithConcurrency(), stateslice.WithoutLineage()); err == nil {
-		t.Error("WithConcurrency + WithoutLineage must fail")
 	}
 	p, err := stateslice.Build(w, stateslice.MemOpt,
 		stateslice.WithEnds(8*stateslice.Second), stateslice.WithName("custom-chain"))

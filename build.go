@@ -7,13 +7,11 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
 	"stateslice/internal/cost"
 	"stateslice/internal/engine"
 	"stateslice/internal/operator"
 	"stateslice/internal/optimizer"
-	"stateslice/internal/pipeline"
 	"stateslice/internal/plan"
 	"stateslice/internal/workload"
 )
@@ -46,7 +44,6 @@ type Plan interface {
 	Run(src Source, cfg RunConfig) (*Result, error)
 	// NewSession prepares an incremental run: feed tuples one at a
 	// time, consume sources, and migrate chain plans mid-stream.
-	// Concurrent plans (WithConcurrency) do not support sessions.
 	NewSession(cfg RunConfig) (Session, error)
 	// Migrate re-slices a live chain to the given slice end boundaries
 	// (ascending; the last must equal the current largest boundary) by
@@ -171,8 +168,8 @@ type Session interface {
 //	p, err := stateslice.Build(w, stateslice.MemOpt, stateslice.WithCollect())
 //
 // Options outside the strategy's shape (for example WithEnds on a pull-up
-// plan, or WithConcurrency on a filtered workload) are rejected with an
-// error rather than ignored.
+// plan, or WithShards on a join the partitioner cannot split) are rejected
+// with an error rather than ignored.
 func Build(w Workload, s Strategy, opts ...Option) (Plan, error) {
 	var o buildOptions
 	for _, opt := range opts {
@@ -197,7 +194,6 @@ func Build(w Workload, s Strategy, opts ...Option) (Plan, error) {
 			{o.ends != nil, "WithEnds"},
 			{o.migratable, "WithMigratable"},
 			{o.disableLineage, "WithoutLineage"},
-			{o.concurrent, "WithConcurrency"},
 			{o.restore != nil, "WithRestore"},
 			{o.recovery != nil, "WithRecovery"},
 			{o.rebalance != nil, "WithRebalance"},
@@ -226,9 +222,6 @@ func Build(w Workload, s Strategy, opts ...Option) (Plan, error) {
 		model = DefaultCostModel()
 	}
 
-	if o.concurrent && (o.shardsSet || o.autoShards) {
-		return nil, errors.New("stateslice: WithConcurrency and WithShards select different executors for the same plan; choose one")
-	}
 	if o.autoShards && o.shardsSet {
 		return nil, errors.New("stateslice: WithAutoShards and WithShards both set the shard count; choose one")
 	}
@@ -259,7 +252,6 @@ func Build(w Workload, s Strategy, opts ...Option) (Plan, error) {
 		KeyRangeDeclared: o.keyRangeSet,
 		MaxProcs:         runtime.GOMAXPROCS(0),
 		DisableLineage:   o.disableLineage,
-		Concurrent:       o.concurrent,
 	}
 	if err := optimizer.Compile(lg, optimizer.Preset(mode)); err != nil {
 		return nil, err
@@ -282,12 +274,6 @@ func Build(w Workload, s Strategy, opts ...Option) (Plan, error) {
 		}
 	}
 
-	if o.concurrent {
-		if o.batchSet {
-			return nil, errors.New("stateslice: WithBatchSize tunes the sequential engine's micro-batch; the concurrent pipeline batches by channel slab and cannot be combined with it")
-		}
-		return buildConcurrent(w, rs, o, model, lg)
-	}
 	if o.shardsSet {
 		return buildSharded(w, rs, o, model, lg)
 	}
@@ -782,131 +768,4 @@ func (m CostModel) chainParams() cost.ChainParams {
 		SelJoin: m.JoinSelectivity,
 		Csys:    m.Csys,
 	}
-}
-
-// buildConcurrent assembles the pipeline-backed Plan of WithConcurrency.
-func buildConcurrent(w Workload, s Strategy, o buildOptions, model CostModel, lg *optimizer.Logical) (Plan, error) {
-	if s != MemOpt {
-		return nil, fmt.Errorf("stateslice: WithConcurrency supports the MemOpt chain only, not %s", s)
-	}
-	if o.migratable || o.hashProbing {
-		return nil, errors.New("stateslice: WithConcurrency cannot be combined with WithMigratable or WithHashProbing")
-	}
-	if o.ends != nil || o.disableLineage {
-		return nil, errors.New("stateslice: WithConcurrency runs the distinct-window Mem-Opt layout and cannot be combined with WithEnds or WithoutLineage")
-	}
-	if o.resultHandler != nil {
-		return nil, errors.New("stateslice: WithResultHandler delivers one ordered callback stream; the concurrent pipeline's per-query mergers fire in parallel — register a WithSink per query instead, or build without WithConcurrency")
-	}
-	windows := make([]Time, 0, len(w.Queries))
-	for i, q := range w.Queries {
-		if q.HasFilter() || q.HasFilterB() {
-			return nil, fmt.Errorf("stateslice: WithConcurrency supports unfiltered queries only (query %d is filtered); use the sequential engine for pushed-down selections", i)
-		}
-		windows = append(windows, q.Window)
-	}
-	name := o.name
-	if name == "" {
-		name = "state-slice(mem-opt,concurrent)"
-	}
-	return &concurrentPlan{
-		name:    name,
-		w:       w,
-		windows: windows,
-		collect: o.collect,
-		sinks:   o.sinks,
-		model:   model,
-		ctx:     o.ctx,
-		trace:   lg.Trace,
-	}, nil
-}
-
-// concurrentPlan executes the Mem-Opt chain with one goroutine per sliced
-// join (internal/pipeline); it is single-shot and session-free.
-type concurrentPlan struct {
-	name    string
-	w       Workload
-	windows []Time
-	collect bool
-	sinks   map[int]Sink
-	model   CostModel
-	ctx     context.Context  // WithContext bound for Run
-	trace   []optimizer.Note // the pass pipeline's decision record
-}
-
-func (p *concurrentPlan) sealed() {}
-
-// Name implements Plan.
-func (p *concurrentPlan) Name() string { return p.name }
-
-// Strategy implements Plan.
-func (p *concurrentPlan) Strategy() Strategy { return MemOpt }
-
-// Ends implements Plan.
-func (p *concurrentPlan) Ends() []Time { return p.w.DistinctWindows() }
-
-// Run implements Plan.
-func (p *concurrentPlan) Run(src Source, cfg RunConfig) (*Result, error) {
-	if cfg.BatchSize != 0 {
-		return nil, errors.New("stateslice: RunConfig.BatchSize tunes the sequential engine's micro-batch; the concurrent pipeline batches by channel slab and ignores it — run without BatchSize or build without WithConcurrency")
-	}
-	var onResult func(int, *Tuple)
-	if len(p.sinks) > 0 {
-		sinks := p.sinks
-		onResult = func(qi int, t *Tuple) {
-			if s, ok := sinks[qi]; ok {
-				s.Emit(t)
-			}
-		}
-	}
-	ctx := cfg.Ctx
-	if ctx == nil {
-		ctx = p.ctx
-	}
-	start := time.Now()
-	pr, err := pipeline.RunChainSource(ctx, p.windows, p.w.Join, src, p.collect, onResult)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		PlanName:        p.name,
-		Inputs:          pr.Inputs,
-		Meter:           pr.Meter,
-		SinkCounts:      pr.SinkCounts,
-		Results:         pr.Results,
-		OrderViolations: pr.OrderViolations,
-		Wall:            time.Since(start),
-		VirtualDuration: pr.VirtualDuration,
-	}, nil
-}
-
-// NewSession implements Plan.
-func (p *concurrentPlan) NewSession(RunConfig) (Session, error) {
-	return nil, errors.New("stateslice: concurrent plans run free-threaded and do not support sessions; build without WithConcurrency to feed tuples incrementally under your control (WithShards sessions run parallel too)")
-}
-
-// Migrate implements Plan.
-func (p *concurrentPlan) Migrate([]Time) error {
-	return errors.New("stateslice: concurrent plans do not support migration; build without WithConcurrency for online re-slicing")
-}
-
-// EstimatedCost implements Plan.
-func (p *concurrentPlan) EstimatedCost() (Cost, error) {
-	return estimateCost(MemOpt, p.w, p.Ends(), p.model)
-}
-
-// Explain implements Plan.
-func (p *concurrentPlan) Explain() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "plan %q  strategy=%s  concurrent\n", p.name, MemOpt)
-	explainQueries(&b, p.w)
-	b.WriteString("  stages: feeder")
-	start := Time(0)
-	for _, e := range p.w.DistinctWindows() {
-		fmt.Fprintf(&b, " -> slice(%s,%s]", fmtTime(start), fmtTime(e))
-		start = e
-	}
-	fmt.Fprintf(&b, " ; %d order-preserving mergers, one goroutine per stage\n", len(p.w.Queries))
-	writeTrace(&b, p.trace)
-	return b.String()
 }

@@ -138,8 +138,7 @@ func TestChaosPanicInSink(t *testing.T) {
 }
 
 // TestChaosPanicInResultHandler is the WithResultHandler variant of the sink
-// case (concurrent plans reject the handler, so the matrix covers the
-// sequential and sharded topologies).
+// case, over the sequential and sharded topologies.
 func TestChaosPanicInResultHandler(t *testing.T) {
 	input := chaosInput(t)
 	for _, tp := range chaosTopologies() {
@@ -449,52 +448,6 @@ func TestChaosCancelMidMigration(t *testing.T) {
 	if err := sess.Close(context.Background()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Close after an abandoned barrier returned %v, want the recorded abandonment", err)
 	}
-}
-
-// TestChaosConcurrentPipeline covers the WithConcurrency executor's
-// containment: a panicking sink inside a merger goroutine and a cancelled
-// run must both come back as classified errors from Run, not crash or hang.
-func TestChaosConcurrentPipeline(t *testing.T) {
-	input := chaosInput(t)
-	t.Run("panic-in-sink", func(t *testing.T) {
-		defer assertGoroutinesReleased(t, goroutineBase())
-		var emitted atomic.Int64
-		sink := stateslice.SinkFunc(func(*stateslice.Tuple) {
-			if emitted.Add(1) == 5 {
-				panic("chaos: concurrent sink blew up")
-			}
-		})
-		p, err := stateslice.Build(chaosWorkload(), stateslice.MemOpt,
-			stateslice.WithConcurrency(), stateslice.WithSink(0, sink))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, runErr := p.Run(stateslice.SliceSource(input), stateslice.RunConfig{})
-		assertPanicErr(t, runErr, "")
-	})
-	t.Run("cancel-mid-stream", func(t *testing.T) {
-		defer assertGoroutinesReleased(t, goroutineBase())
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		p, err := stateslice.Build(chaosWorkload(), stateslice.MemOpt,
-			stateslice.WithConcurrency(), stateslice.WithContext(ctx))
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := &cancellingSource{tuples: input, cancel: cancel, n: len(input) / 2}
-		if _, err := p.Run(src, stateslice.RunConfig{}); !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled concurrent Run returned %v, want context.Canceled", err)
-		}
-	})
-	t.Run("panic-in-source", func(t *testing.T) {
-		defer assertGoroutinesReleased(t, goroutineBase())
-		p, err := stateslice.Build(chaosWorkload(), stateslice.MemOpt, stateslice.WithConcurrency())
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, runErr := p.Run(panicSource{inner: &failingSource{tuples: input[:100]}}, stateslice.RunConfig{})
-		assertPanicErr(t, runErr, "source pull")
-	})
 }
 
 // TestChaosErrorTaxonomy pins the exported sentinels on their misuse paths,

@@ -126,9 +126,6 @@ func validateRestoreShape(o buildOptions) error {
 	if cp.chain == nil && cp.shard == nil {
 		return errors.New("stateslice: WithRestore got an empty checkpoint")
 	}
-	if o.concurrent {
-		return errors.New("stateslice: WithRestore resumes engine-backed sessions; the concurrent pipeline is single-shot and cannot be combined with it")
-	}
 	if cp.Sharded() {
 		if !o.shardsSet {
 			return fmt.Errorf("stateslice: the checkpoint was taken from a sharded session; restore it with WithShards(%d)", cp.Shards())

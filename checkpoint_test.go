@@ -9,7 +9,9 @@ package stateslice_test
 // every shape mismatch fails loudly at Build or session creation.
 
 import (
+	"bytes"
 	"context"
+	"runtime/metrics"
 	"testing"
 
 	"stateslice"
@@ -429,7 +431,6 @@ func TestCheckpointShapeValidation(t *testing.T) {
 		{"sequential checkpoint into sharded plan", []stateslice.Option{stateslice.WithRestore(seqCp), stateslice.WithShards(2)}},
 		{"sharded checkpoint into sequential plan", []stateslice.Option{stateslice.WithRestore(shCp)}},
 		{"sharded checkpoint with wrong shard count", []stateslice.Option{stateslice.WithRestore(shCp), stateslice.WithShards(4)}},
-		{"restore into concurrent pipeline", []stateslice.Option{stateslice.WithRestore(seqCp), stateslice.WithConcurrency()}},
 	} {
 		if _, err := stateslice.Build(w, stateslice.MemOpt, tc.opts...); err == nil {
 			t.Errorf("%s: Build must fail", tc.name)
@@ -493,4 +494,70 @@ func TestCheckpointShapeValidation(t *testing.T) {
 		t.Error("Checkpoint on a non-chain strategy must fail")
 	}
 	puSess.Finish()
+}
+
+// checkpointBlob runs a session of the chaos workload over input and returns
+// the serialized checkpoint taken after the last tuple.
+func checkpointBlob(tb testing.TB, input []*stateslice.Tuple, opts ...stateslice.Option) []byte {
+	tb.Helper()
+	p, err := stateslice.Build(chaosWorkload(), stateslice.MemOpt, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sess, err := p.NewSession(stateslice.RunConfig{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer sess.Close(context.Background())
+	if err := sess.Consume(stateslice.SliceSource(input)); err != nil {
+		tb.Fatal(err)
+	}
+	cp, err := sess.Checkpoint(context.Background())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	blob, err := cp.Bytes()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return blob
+}
+
+// FuzzDecodeCheckpoint feeds arbitrary bytes to DecodeCheckpoint, seeded with
+// real blobs of a sequential and a two-shard session. Every input must either
+// fail to decode or yield a checkpoint whose Bytes decode again to the same
+// blob; no input may panic, and decoding may allocate only in proportion to
+// the input's length.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	input := chaosInput(f)[:8]
+	f.Add(checkpointBlob(f, input))
+	f.Add(checkpointBlob(f, input, stateslice.WithShards(2)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		allocated := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+		metrics.Read(allocated)
+		before := allocated[0].Value.Uint64()
+		cp, err := stateslice.DecodeCheckpoint(data)
+		metrics.Read(allocated)
+		if grew := allocated[0].Value.Uint64() - before; grew > 64*uint64(len(data))+1<<20 {
+			t.Fatalf("decoding %d bytes allocated %d bytes", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		blob, err := cp.Bytes()
+		if err != nil {
+			t.Fatalf("decoded checkpoint does not encode: %v", err)
+		}
+		again, err := stateslice.DecodeCheckpoint(blob)
+		if err != nil {
+			t.Fatalf("re-encoded blob does not decode: %v", err)
+		}
+		blob2, err := again.Bytes()
+		if err != nil {
+			t.Fatalf("re-decoded checkpoint does not encode: %v", err)
+		}
+		if !bytes.Equal(blob, blob2) {
+			t.Fatal("re-encoded blob does not round-trip byte-identically")
+		}
+	})
 }

@@ -13,17 +13,15 @@
 //	slicebench -json report.json     # machine-readable perf report
 //
 // The -json flag runs the tracked performance suite — the Section 7.3 chain
-// workload through the sequential engine at several micro-batch sizes and
-// through the concurrent pipeline, plus the workload's equijoin twin through
-// the engine, the pipeline and the key-range sharded executor at the -shards
-// sweep, plus its band-join twin (|A.Key - B.Key| <= -band) through the
-// band-partitioned sharded executor at the same sweep, plus the admission
-// suite (per-Attach barrier latency and the steady-state rate of a chain
-// that admitted its queries live against the same chain built whole) — and
-// writes a JSON
-// report (service rate, comparison counts, allocs per input tuple, state
-// memory, GOMAXPROCS for cross-host comparability) to the given path ("-"
-// for stdout). Committed snapshots live in
+// workload through the sequential engine at several micro-batch sizes, plus
+// the workload's equijoin twin through the engine and the key-range sharded
+// executor at the -shards sweep, plus its band-join twin (|A.Key - B.Key| <=
+// -band) through the band-partitioned sharded executor at the same sweep,
+// plus the admission suite (per-Attach barrier latency and the steady-state
+// rate of a chain that admitted its queries live against the same chain
+// built whole) — and writes a JSON report (service rate, comparison counts,
+// allocs per input tuple, state memory, GOMAXPROCS for cross-host
+// comparability) to the given path ("-" for stdout). Committed snapshots live in
 // BENCH_<pr>.json files at the repository root and track the perf trajectory
 // across PRs. -cpuprofile wraps any run in a CPU profile.
 //

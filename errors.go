@@ -4,17 +4,17 @@ import "stateslice/internal/fault"
 
 // Typed error taxonomy of the session lifecycle. Every misuse or failure
 // path across the execution stack — the sequential engine, the sharded
-// executor, the concurrent pipeline, migration and admission — wraps one of
-// these sentinels with fmt.Errorf("...: %w", ...), so callers classify
-// failures with errors.Is instead of matching message strings:
+// executor, migration and admission — wraps one of these sentinels with
+// fmt.Errorf("...: %w", ...), so callers classify failures with errors.Is
+// instead of matching message strings:
 //
 //	if err := sess.Feed(t); errors.Is(err, stateslice.ErrClosed) {
 //		return // the session was aborted elsewhere; stop feeding
 //	}
 //
 // Contained crashes — a panicking operator, Source, Sink or result handler,
-// or a panic inside a worker goroutine of a sharded or concurrent plan —
-// surface as a *PanicError, matched with errors.As.
+// or a panic inside a worker goroutine of a sharded plan — surface as a
+// *PanicError, matched with errors.As.
 var (
 	// ErrSessionFinished reports an operation on a session whose Finish
 	// already ran: a finished session cannot be fed, drained, migrated or

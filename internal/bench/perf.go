@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"stateslice/internal/engine"
-	"stateslice/internal/pipeline"
 	"stateslice/internal/plan"
 	"stateslice/internal/shard"
 	"stateslice/internal/stream"
@@ -16,12 +15,11 @@ import (
 // This file implements the machine-readable performance report behind
 // `slicebench -json`: the Section 7.3 chain workload (N unfiltered window
 // joins, Mem-Opt chain) executed through the sequential engine at several
-// micro-batch sizes and through the concurrent slab-batched pipeline, with
-// wall-clock service rate, comparison counts, per-input allocation costs and
-// state memory recorded per variant. A second suite runs the workload's
-// equijoin twin — same windows, A.Key = B.Key join, key domain matched to
-// the same selectivity — through the engine, the pipeline and the
-// key-range sharded executor at a shard-count sweep; FractionMatch is not
+// micro-batch sizes, with wall-clock service rate, comparison counts,
+// per-input allocation costs and state memory recorded per variant. A second
+// suite runs the workload's equijoin twin — same windows, A.Key = B.Key
+// join, key domain matched to the same selectivity — through the engine and
+// the key-range sharded executor at a shard-count sweep; FractionMatch is not
 // key-partitionable, so the sharded variants require the twin. A third
 // suite runs the band-join twin (|A.Key - B.Key| <= B over a domain matched
 // to the same selectivity) through the band-partitioned sharded executor —
@@ -54,11 +52,11 @@ type PerfWorkload struct {
 
 // PerfRun is one measured execution variant.
 type PerfRun struct {
-	// Variant labels the execution path, e.g. "engine/k=1" or "pipeline".
+	// Variant labels the execution path, e.g. "engine/k=1" or "shards/p=2,w=1".
 	Variant string `json:"variant"`
 	// BatchSize is the engine micro-batch size K (1 = the paper-faithful
-	// tuple-at-a-time schedule; -1 = drain only at the end; 0 for the
-	// pipeline, which batches by channel slab instead).
+	// tuple-at-a-time schedule; -1 = drain only at the end; 0 for sharded
+	// variants).
 	BatchSize int `json:"batch_size"`
 	// Shards is the replica count of a sharded run; 0 for unsharded
 	// variants. Comparable across hosts only together with the report's
@@ -98,8 +96,7 @@ type PerfRun struct {
 	// the per-tuple engine schedule (K=1): with K>1 the monitor samples
 	// between feeds, before the deferred drain, so join states lag the
 	// arrivals and the figure would understate memory (queues, not
-	// states, hold the backlog). The pipeline does not sample memory
-	// either.
+	// states, hold the backlog).
 	AvgStateTuples float64 `json:"avg_state_tuples"`
 	// MaxStateTuples is the peak total join-state size (K=1 only, as
 	// above).
@@ -278,11 +275,6 @@ func RunPerf(cfg PerfConfig) (*PerfReport, error) {
 		}
 		rep.Runs = append(rep.Runs, *run)
 	}
-	run, err := perfPipeline(w, input, cfg.Reps)
-	if err != nil {
-		return nil, err
-	}
-	rep.Runs = append(rep.Runs, *run)
 
 	if len(cfg.Shards) > 0 {
 		suite, err := runShardSuite(cfg)
@@ -325,8 +317,8 @@ func RunPerf(cfg PerfConfig) (*PerfReport, error) {
 
 // runShardSuite measures the equijoin twin of the workload — the same
 // windows joined on A.Key = B.Key over a key domain matching the tracked
-// selectivity — through the engine, the pipeline and the hash-partitioned
-// sharded executor at every shard count.
+// selectivity — through the engine and the hash-partitioned sharded executor
+// at every shard count.
 func runShardSuite(cfg PerfConfig) (*PerfSuite, error) {
 	w, err := workload.NQueriesEquijoin(cfg.Dist, cfg.Queries)
 	if err != nil {
@@ -338,11 +330,11 @@ func runShardSuite(cfg PerfConfig) (*PerfSuite, error) {
 // runBandSuite measures the band-join twin of the workload — the same
 // windows joined on |A.Key - B.Key| <= BandWidth over the
 // workload.BandKeyDomain uniform domain, whose expected selectivity matches
-// the tracked low S1 — through the engine, the pipeline and the
-// band-partitioned sharded executor at every shard count. Band predicates
-// are not key-partitionable, so this sweep exercises the contiguous range
-// partitioner with boundary replication and owner-rule suppression; the
-// replicated feed volume is recorded per run (PerfRun.ReplicaFeeds).
+// the tracked low S1 — through the engine and the band-partitioned sharded
+// executor at every shard count. Band predicates are not key-partitionable,
+// so this sweep exercises the contiguous range partitioner with boundary
+// replication and owner-rule suppression; the replicated feed volume is
+// recorded per run (PerfRun.ReplicaFeeds).
 func runBandSuite(cfg PerfConfig) (*PerfSuite, error) {
 	w, err := workload.NQueriesBand(cfg.Dist, cfg.Queries, cfg.BandWidth)
 	if err != nil {
@@ -354,9 +346,9 @@ func runBandSuite(cfg PerfConfig) (*PerfSuite, error) {
 }
 
 // runTwinSuite is the shared sweep skeleton of the sharded twin suites: one
-// keyed input, the in-suite engine and pipeline baselines (the single-core
-// references the sweep is judged against; every variant must produce
-// identical output counts), then the sharded executor over the shards ×
+// keyed input, the in-suite engine baseline (the single-core reference the
+// sweep is judged against; every variant must produce identical output
+// counts), then the sharded executor over the shards ×
 // workers grid — hash-partitioned when band is nil, band-partitioned
 // otherwise.
 func runTwinSuite(cfg PerfConfig, w plan.Workload, keyDomain int64, selectivity float64, band *shard.Band) (*PerfSuite, error) {
@@ -383,11 +375,6 @@ func runTwinSuite(cfg PerfConfig, w plan.Workload, keyDomain int64, selectivity 
 		},
 	}
 	run, err := perfEngine(w, input, 1, cfg.Reps)
-	if err != nil {
-		return nil, err
-	}
-	suite.Runs = append(suite.Runs, *run)
-	run, err = perfPipeline(w, input, cfg.Reps)
 	if err != nil {
 		return nil, err
 	}
@@ -454,34 +441,6 @@ func perfSharded(w plan.Workload, input []*stream.Tuple, p, workers, reps int, b
 			return nil, err
 		}
 		run.ReplicaFeeds = e.ReplicatedFeeds()
-		record(run, res, allocs, bytes, wall)
-	}
-	return run, nil
-}
-
-// perfPipeline measures the concurrent pipeline executor.
-func perfPipeline(w plan.Workload, input []*stream.Tuple, reps int) (*PerfRun, error) {
-	windows := make([]stream.Time, len(w.Queries))
-	for i, q := range w.Queries {
-		windows[i] = q.Window
-	}
-	run := &PerfRun{Variant: "pipeline", BatchSize: 0}
-	for r := 0; r < reps; r++ {
-		allocs, bytes, wall, res, err := measured(func() (perfResult, error) {
-			pr, err := pipeline.RunChain(windows, w.Join, input, false)
-			if err != nil {
-				return perfResult{}, err
-			}
-			return perfResult{
-				inputs:     pr.Inputs,
-				outputs:    totalCounts(pr.SinkCounts),
-				comps:      pr.Meter.Comparisons(),
-				violations: pr.OrderViolations,
-			}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
 		record(run, res, allocs, bytes, wall)
 	}
 	return run, nil
@@ -576,15 +535,6 @@ func record(run *PerfRun, res perfResult, allocs, bytes uint64, wall time.Durati
 	run.OrderViolations += res.violations
 	run.AvgStateTuples = res.avgState
 	run.MaxStateTuples = res.maxState
-}
-
-// totalCounts sums per-sink result counts.
-func totalCounts(counts []uint64) uint64 {
-	var n uint64
-	for _, c := range counts {
-		n += c
-	}
-	return n
 }
 
 // engineConfig maps a micro-batch size onto the engine configuration.

@@ -5,9 +5,9 @@
 // overhead, found as a shortest path over the slice-merge DAG with
 // Dijkstra's algorithm, Section 5.2).
 //
-// Three solvers compute the CPU-Opt chain — Dijkstra (the paper's choice), a
-// topological-order dynamic program, and exhaustive enumeration — and the
-// tests require them to agree, mirroring the paper's optimality proof.
+// Dijkstra (the paper's choice) computes the CPU-Opt chain; the tests check
+// it against a topological-order dynamic program and exhaustive enumeration,
+// mirroring the paper's optimality proof.
 package chain
 
 import (
@@ -92,79 +92,6 @@ func CPUOptEnds(queries []cost.QuerySpec, p cost.ChainParams) (*Result, error) {
 	}
 	res.MemoryKB = mem
 	return res, nil
-}
-
-// CPUOptEndsDP solves the same problem with a dynamic program over the
-// topologically ordered boundary nodes — the O(N^2) formulation the
-// principle of optimality (Lemma 2) justifies. It exists as an independent
-// oracle for the Dijkstra implementation.
-func CPUOptEndsDP(queries []cost.QuerySpec, p cost.ChainParams) (*Result, error) {
-	if err := cost.ValidateQueries(queries); err != nil {
-		return nil, err
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	bounds := append([]float64{0}, cost.DistinctWindows(queries)...)
-	n := len(bounds)
-	dist := make([]float64, n)
-	prev := make([]int, n)
-	for v := 1; v < n; v++ {
-		dist[v] = math.Inf(1)
-		prev[v] = -1
-		for u := 0; u < v; u++ {
-			if d := dist[u] + cost.EdgeCost(queries, bounds[u], bounds[v], p); d < dist[v] {
-				dist[v] = d
-				prev[v] = u
-			}
-		}
-	}
-	var ends []float64
-	for v := n - 1; v > 0; v = prev[v] {
-		ends = append(ends, bounds[v])
-	}
-	reverse(ends)
-	res := &Result{Ends: ends, CPU: dist[n-1]}
-	mem, err := memoryOf(queries, ends, p)
-	if err != nil {
-		return nil, err
-	}
-	res.MemoryKB = mem
-	return res, nil
-}
-
-// BruteForceCPUOpt enumerates every possible chain (every subset of the
-// distinct windows that contains the largest) and returns the cheapest. It
-// is exponential and exists as the optimality oracle for tests, in the
-// spirit of the paper's optimality proofs. It refuses more than 20 distinct
-// windows.
-func BruteForceCPUOpt(queries []cost.QuerySpec, p cost.ChainParams) (*Result, error) {
-	if err := cost.ValidateQueries(queries); err != nil {
-		return nil, err
-	}
-	windows := cost.DistinctWindows(queries)
-	m := len(windows) - 1 // optional boundaries (the last is mandatory)
-	if m > 20 {
-		return nil, fmt.Errorf("chain: brute force limited to 20 distinct windows, got %d", m+1)
-	}
-	best := &Result{CPU: math.Inf(1)}
-	for mask := 0; mask < 1<<m; mask++ {
-		var ends []float64
-		for i := 0; i < m; i++ {
-			if mask&(1<<i) != 0 {
-				ends = append(ends, windows[i])
-			}
-		}
-		ends = append(ends, windows[m])
-		c, err := cost.ChainCost(queries, ends, p)
-		if err != nil {
-			return nil, err
-		}
-		if c.CPU < best.CPU {
-			best = &Result{Ends: ends, CPU: c.CPU, MemoryKB: c.MemoryKB}
-		}
-	}
-	return best, nil
 }
 
 // memoryOf evaluates the chain memory model for a boundary list.

@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -22,6 +23,78 @@ func TestMemOptEnds(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("MemOptEnds = %v, want %v", got, want)
 	}
+}
+
+// cpuOptEndsDP solves the same problem with a dynamic program over the
+// topologically ordered boundary nodes — the O(N^2) formulation the
+// principle of optimality (Lemma 2) justifies: an independent oracle for the
+// Dijkstra implementation.
+func cpuOptEndsDP(queries []cost.QuerySpec, p cost.ChainParams) (*Result, error) {
+	if err := cost.ValidateQueries(queries); err != nil {
+		return nil, err
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	bounds := append([]float64{0}, cost.DistinctWindows(queries)...)
+	n := len(bounds)
+	dist := make([]float64, n)
+	prev := make([]int, n)
+	for v := 1; v < n; v++ {
+		dist[v] = math.Inf(1)
+		prev[v] = -1
+		for u := 0; u < v; u++ {
+			if d := dist[u] + cost.EdgeCost(queries, bounds[u], bounds[v], p); d < dist[v] {
+				dist[v] = d
+				prev[v] = u
+			}
+		}
+	}
+	var ends []float64
+	for v := n - 1; v > 0; v = prev[v] {
+		ends = append(ends, bounds[v])
+	}
+	reverse(ends)
+	res := &Result{Ends: ends, CPU: dist[n-1]}
+	mem, err := memoryOf(queries, ends, p)
+	if err != nil {
+		return nil, err
+	}
+	res.MemoryKB = mem
+	return res, nil
+}
+
+// bruteForceCPUOpt enumerates every possible chain (every subset of the
+// distinct windows that contains the largest) and returns the cheapest: the
+// exponential optimality oracle, in the spirit of the paper's optimality
+// proofs. It refuses more than 20 distinct windows.
+func bruteForceCPUOpt(queries []cost.QuerySpec, p cost.ChainParams) (*Result, error) {
+	if err := cost.ValidateQueries(queries); err != nil {
+		return nil, err
+	}
+	windows := cost.DistinctWindows(queries)
+	m := len(windows) - 1 // optional boundaries (the last is mandatory)
+	if m > 20 {
+		return nil, fmt.Errorf("chain: brute force limited to 20 distinct windows, got %d", m+1)
+	}
+	best := &Result{CPU: math.Inf(1)}
+	for mask := 0; mask < 1<<m; mask++ {
+		var ends []float64
+		for i := 0; i < m; i++ {
+			if mask&(1<<i) != 0 {
+				ends = append(ends, windows[i])
+			}
+		}
+		ends = append(ends, windows[m])
+		c, err := cost.ChainCost(queries, ends, p)
+		if err != nil {
+			return nil, err
+		}
+		if c.CPU < best.CPU {
+			best = &Result{Ends: ends, CPU: c.CPU, MemoryKB: c.MemoryKB}
+		}
+	}
+	return best, nil
 }
 
 func TestCPUOptAgainstBruteForce(t *testing.T) {
@@ -52,11 +125,11 @@ func TestCPUOptAgainstBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: dijkstra: %v", trial, err)
 		}
-		dp, err := CPUOptEndsDP(qs, p)
+		dp, err := cpuOptEndsDP(qs, p)
 		if err != nil {
 			t.Fatalf("trial %d: dp: %v", trial, err)
 		}
-		bf, err := BruteForceCPUOpt(qs, p)
+		bf, err := bruteForceCPUOpt(qs, p)
 		if err != nil {
 			t.Fatalf("trial %d: brute force: %v", trial, err)
 		}
@@ -146,14 +219,14 @@ func TestCPUOptValidation(t *testing.T) {
 	if _, err := CPUOptEnds([]cost.QuerySpec{{Window: 1, Sel: 1}}, bad); err == nil {
 		t.Error("invalid params must fail")
 	}
-	if _, err := BruteForceCPUOpt(nil, cp()); err == nil {
+	if _, err := bruteForceCPUOpt(nil, cp()); err == nil {
 		t.Error("brute force with empty workload must fail")
 	}
 	var many []cost.QuerySpec
 	for i := 1; i <= 25; i++ {
 		many = append(many, cost.QuerySpec{Window: float64(i), Sel: 1})
 	}
-	if _, err := BruteForceCPUOpt(many, cp()); err == nil {
+	if _, err := bruteForceCPUOpt(many, cp()); err == nil {
 		t.Error("brute force must refuse huge workloads")
 	}
 }

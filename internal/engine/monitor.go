@@ -83,6 +83,4 @@ var (
 	_ operator.StateSizer = (*operator.WindowJoin)(nil)
 	_ operator.StateSizer = (*operator.SlicedBinaryJoin)(nil)
 	_ operator.StateSizer = (*operator.SlicedOneWayJoin)(nil)
-	_ operator.StateSizer = (*operator.CountWindowJoin)(nil)
-	_ operator.StateSizer = (*operator.SlicedCountBinaryJoin)(nil)
 )

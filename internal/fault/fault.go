@@ -4,8 +4,8 @@
 // goroutine publishes instead of crashing the process, and the test-only
 // fault-injection registry the chaos suite drives.
 //
-// The package sits at the bottom of the import DAG — engine, plan, shard,
-// pipeline and the public API all import it — so one taxonomy serves every
+// The package sits at the bottom of the import DAG — engine, plan, shard
+// and the public API all import it — so one taxonomy serves every
 // layer and the public package can re-export the sentinels as aliases.
 package fault
 

@@ -104,7 +104,7 @@ func (m *CostMeter) Total(csys float64) float64 {
 }
 
 // Add folds another meter's counts into m, category by category. The
-// concurrent executors give every goroutine its own meter and fold them into
+// sharded executor gives every goroutine its own meter and fold them into
 // the run total once all goroutines have stopped.
 func (m *CostMeter) Add(o CostMeter) {
 	if m == nil {

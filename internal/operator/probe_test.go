@@ -32,7 +32,7 @@ func edgeKeyInput(n int, seed int64) []*stream.Tuple {
 	return mb.Tuples()
 }
 
-// joinRuns are the five operators that probe a window state, each as a
+// joinRuns are the three operators that probe a window state, each as a
 // function that runs the feed and returns its output queues.
 var joinRuns = map[string]func(t *testing.T, pred stream.JoinPredicate, input []*stream.Tuple, m *CostMeter) []*stream.Queue{
 	"SlicedBinaryJoin": func(t *testing.T, pred stream.JoinPredicate, input []*stream.Tuple, m *CostMeter) []*stream.Queue {
@@ -58,21 +58,6 @@ var joinRuns = map[string]func(t *testing.T, pred stream.JoinPredicate, input []
 		out := j.Out().NewQueue()
 		runChain(in, []Operator{j}, input, m)
 		return []*stream.Queue{out}
-	},
-	"CountWindowJoin": func(t *testing.T, pred stream.JoinPredicate, input []*stream.Tuple, m *CostMeter) []*stream.Queue {
-		in := stream.NewQueue()
-		j, err := NewCountWindowJoin("j", 20, 35, pred, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := j.Out().NewQueue()
-		runChain(in, []Operator{j}, input, m)
-		return []*stream.Queue{out}
-	},
-	"SlicedCountBinaryJoin": func(t *testing.T, pred stream.JoinPredicate, input []*stream.Tuple, m *CostMeter) []*stream.Queue {
-		entry, _, outs, ops := buildCountChain(t, []int{5, 20, 40}, pred)
-		runChain(entry, ops, input, m)
-		return outs
 	},
 }
 

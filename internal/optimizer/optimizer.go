@@ -110,9 +110,6 @@ type Logical struct {
 	// DisableLineage selects the re-evaluation ablation instead of
 	// lineage marks for pushed-down selections (WithoutLineage).
 	DisableLineage bool
-	// Concurrent selects the one-goroutine-per-slice pipeline executor
-	// (WithConcurrency).
-	Concurrent bool
 
 	// Sharing is the resolved sharing decision: ChainMem or ChainCPU for
 	// chain modes (never ChainAuto after the sharing pass), the baseline
@@ -125,8 +122,7 @@ type Logical struct {
 	// ChainCost is the modelled cost of the chosen chain layout, when the
 	// sharing pass could price it.
 	ChainCost *cost.Cost
-	// Shards is the resolved shard count; 0 means sequential (or the
-	// concurrent pipeline when Concurrent is set).
+	// Shards is the resolved shard count; 0 means sequential.
 	Shards int
 	// UseKeyRange reports whether lowering passes the declared key range
 	// to the band partitioner.

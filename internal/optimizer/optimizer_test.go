@@ -244,10 +244,6 @@ func TestLowerTargets(t *testing.T) {
 	if !traceContains(l, "lower", "sharded executor (p=4)") {
 		t.Errorf("lower trace:\n%s", RenderTrace(l.Trace))
 	}
-	l = compile(t, &Logical{Workload: twoQueryWorkload(), Params: testParams, Concurrent: true}, ChainMem)
-	if !traceContains(l, "lower", "concurrent slice pipeline") {
-		t.Errorf("lower trace:\n%s", RenderTrace(l.Trace))
-	}
 }
 
 func TestModeStrings(t *testing.T) {

@@ -163,10 +163,6 @@ func noSharingPass(mode Mode) Pass {
 // original error text.
 func shardsPass() Pass {
 	return Pass{Name: "shards", Run: func(l *Logical) error {
-		if l.Concurrent {
-			l.note("shards", "concurrent pipeline: one goroutine per slice, no key partitioning")
-			return nil
-		}
 		p := l.RequestedShards
 		if p == 0 && l.AutoShards {
 			p = l.inferShards()
@@ -237,10 +233,7 @@ func (l *Logical) inferShards() int {
 func lowerPass() Pass {
 	return Pass{Name: "lower", Run: func(l *Logical) error {
 		target := "sequential engine"
-		switch {
-		case l.Concurrent:
-			target = "concurrent slice pipeline"
-		case l.Shards > 0:
+		if l.Shards > 0 {
 			target = fmt.Sprintf("sharded executor (p=%d)", l.Shards)
 		}
 		l.note("lower", "physical plan: %s via the %s", l.Sharing, target)

@@ -9,10 +9,12 @@ import (
 	"stateslice/internal/stream"
 )
 
-// Micro-batch equivalence on plans the pipeline executor does not cover:
-// chains with pushed-down selections (lineage gates and mask filters) and
-// chains migrated mid-stream. The batched schedule must not change a single
-// delivered result on any of them.
+// Micro-batch equivalence: the engine's batch size K changes only *when*
+// work happens, never *what* is computed. Unfiltered chains (distinct,
+// duplicate and single windows), chains with pushed-down selections (lineage
+// gates and mask filters) and chains migrated mid-stream must deliver
+// byte-identical per-query results at K = 7, 64 and unbounded as under the
+// paper-faithful per-tuple schedule, K = 1.
 
 func renderAll(res *engine.Result) []string {
 	out := make([]string, len(res.Results))
@@ -25,6 +27,15 @@ func renderAll(res *engine.Result) []string {
 		out[qi] = b.String()
 	}
 	return out
+}
+
+// unfilteredWorkload is a chain workload of one unfiltered query per window.
+func unfilteredWorkload(windows ...stream.Time) Workload {
+	w := Workload{Join: stream.FractionMatch{S: 0.2}}
+	for _, win := range windows {
+		w.Queries = append(w.Queries, Query{Window: win})
+	}
+	return w
 }
 
 func filteredWorkload() Workload {
@@ -49,34 +60,48 @@ func batchInput(t *testing.T, seed int64) []*stream.Tuple {
 	return input
 }
 
-func TestBatchedFilteredChainEquivalence(t *testing.T) {
-	input := batchInput(t, 7)
-	w := filteredWorkload()
-	run := func(batch int) *engine.Result {
-		sp, err := BuildStateSlice(w, StateSliceConfig{Collect: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := engine.Run(sp.Plan, input, engine.Config{BatchSize: batch})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.OrderViolations != 0 {
-			t.Fatalf("batch %d: %d order violations", batch, res.OrderViolations)
-		}
-		return res
-	}
-	want := renderAll(run(1))
-	if strings.Count(strings.Join(want, ""), ";") == 0 {
-		t.Fatal("reference produced no results; the equivalence check is vacuous")
-	}
-	for _, k := range []int{7, 64, -1} {
-		got := renderAll(run(k))
-		for qi := range want {
-			if got[qi] != want[qi] {
-				t.Errorf("batch %d: query %d results differ from the per-tuple schedule", k, qi)
+func TestBatchedChainEquivalence(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		w     Workload
+		seeds []int64
+	}{
+		{"filtered", filteredWorkload(), []int64{7}},
+		{"distinct-windows", unfilteredWorkload(2*stream.Second, 5*stream.Second, 9*stream.Second), []int64{1, 2, 3}},
+		{"duplicate-windows", unfilteredWorkload(3*stream.Second, 3*stream.Second, 8*stream.Second), []int64{1, 2, 3}},
+		{"single-window", unfilteredWorkload(4 * stream.Second), []int64{1, 2, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, seed := range tc.seeds {
+				input := batchInput(t, seed)
+				run := func(batch int) *engine.Result {
+					sp, err := BuildStateSlice(tc.w, StateSliceConfig{Collect: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := engine.Run(sp.Plan, input, engine.Config{BatchSize: batch})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.OrderViolations != 0 {
+						t.Fatalf("seed %d batch %d: %d order violations", seed, batch, res.OrderViolations)
+					}
+					return res
+				}
+				want := renderAll(run(1))
+				if strings.Count(strings.Join(want, ""), ";") == 0 {
+					t.Fatalf("seed %d: reference produced no results; the equivalence check is vacuous", seed)
+				}
+				for _, k := range []int{7, 64, -1} {
+					got := renderAll(run(k))
+					for qi := range want {
+						if got[qi] != want[qi] {
+							t.Errorf("seed %d batch %d: query %d results differ from the per-tuple schedule", seed, k, qi)
+						}
+					}
+				}
 			}
-		}
+		})
 	}
 }
 

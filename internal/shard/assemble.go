@@ -53,9 +53,8 @@ import (
 //
 // The path requires query-agnostic slice streams — an unfiltered workload
 // whose every distinct window is a slice boundary, compiled with
-// plan.StateSliceConfig.RawSliceResults — exactly the restriction of the
-// concurrent pipeline. Filtered, routed or migratable chains use the
-// query-level merge instead (see Executor). New validates the windows
+// plan.StateSliceConfig.RawSliceResults. Filtered, routed or migratable
+// chains use the query-level merge instead (see Executor). New validates the windows
 // against the chain's boundaries (ValidateSliceMergeWindows) before the
 // assembler is built, so construction cannot fail.
 

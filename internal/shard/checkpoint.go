@@ -206,6 +206,11 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("shard: checkpoint decode: truncated shard count")
 	}
 	rest = rest[n:]
+	// Every replica blob takes at least one byte, which also keeps the count
+	// within int range.
+	if shards == 0 || shards > uint64(len(rest)) {
+		return nil, fmt.Errorf("shard: checkpoint decode: shard count %d out of range for a %d-byte payload", shards, len(rest))
+	}
 	if len(rest) < 33 {
 		return nil, fmt.Errorf("shard: checkpoint decode: truncated frontier")
 	}
@@ -241,7 +246,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 			if n == 0 {
 				return nil, nil
 			}
-			if uint64(len(rest)) < 8*n {
+			if n > uint64(len(rest))/8 {
 				return nil, fmt.Errorf("shard: checkpoint decode: truncated %s cuts", section)
 			}
 			cuts := make([]uint64, n)

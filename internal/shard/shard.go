@@ -51,8 +51,8 @@
 // deadlock-freedom argument.
 //
 // Result streams cross goroutines as item slabs (stream.Batcher) over
-// bounded channels, the same amortization the concurrent pipeline uses,
-// recycled through a free list so the steady state allocates nothing.
+// bounded channels (see stream.SlabCap for why slab boundaries never change
+// results), recycled through a free list so the steady state allocates nothing.
 // Within one shard a stream keeps its replica order (FIFO edges end to
 // end); across shards results never tie on (Time, Seq) — a joined tuple
 // inherits the Seq of its probing male, and every male's surviving results

@@ -1,17 +1,26 @@
 package stream
 
-// SlabCap is the target number of items per batch slab of the concurrent
-// executors. One slab handoff replaces SlabCap channel operations of a
-// per-item scheme; see the pipeline package docs for why slab boundaries
-// never affect results (FIFO order within and across slabs is the per-item
-// order).
+// SlabCap is the target number of items per batch slab of the sharded
+// executor's cross-goroutine edges. One slab handoff replaces SlabCap
+// channel operations of a per-item scheme.
+//
+// Slab boundaries never affect results. The receiver of an edge pushes each
+// slab's items into its queue in order, so what it sees — within and across
+// slabs — is exactly the per-item FIFO sequence; only the number of channel
+// operations changes. A sliced chain's correctness depends on nothing else:
+// the state disjointness of Lemma 1 needs FIFO delivery between adjacent
+// operators, not any particular scheduling discipline.
 const SlabCap = 128
 
 // Batcher accumulates items into slabs for channel handoff between
-// goroutines, coalescing consecutive punctuations: on a FIFO edge punct(t1)
-// followed immediately by punct(t2 >= t1) carries no extra information, so
-// only the last of a run survives. Both the concurrent pipeline and the
-// sharded executor batch their inter-goroutine edges with it.
+// goroutines, coalescing consecutive punctuations. A punctuation promises
+// that nothing later on the edge is older than its time, and on a FIFO edge
+// those promises only grow: punct(t1) followed immediately by punct(t2 >= t1)
+// carries no information beyond punct(t2), so only the last of a run
+// survives. Coalescing never drops the run's final punctuation, so a
+// receiver whose output depends on punctuation alone — a union flushing a
+// quiet tail on the end-of-stream MaxTime — flushes exactly as it would
+// per item. The sharded executor batches its feed and result edges with it.
 //
 // The zero value is ready to use. Not safe for concurrent use — a batcher
 // belongs to the single goroutine that fills it.

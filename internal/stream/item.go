@@ -54,8 +54,8 @@ func (it Item) String() string {
 // instead of a modulo — Pop and Push sit on the per-item hot path of the
 // scheduler.
 //
-// Queue is not safe for concurrent use; the single-threaded engine owns all
-// queues. The concurrent executor uses channels instead.
+// Queue is not safe for concurrent use; one engine owns all queues of its
+// plan. The sharded executor crosses goroutines over channels instead.
 type Queue struct {
 	buf  []Item
 	head int

@@ -4,7 +4,7 @@ import "io"
 
 // Source produces the merged input of both streams incrementally, in global
 // timestamp order. It is the streaming counterpart of a pre-materialized
-// []*Tuple batch: the engine and the concurrent pipeline pull one tuple at a
+// []*Tuple batch: the engine and the sharded executor pull one tuple at a
 // time, so inputs may be unbounded (a live channel, a generator) without the
 // whole workload ever residing in memory.
 //

@@ -65,8 +65,7 @@ type Tuple struct {
 	// ordering").
 	Seq uint64
 	// Ord is the 1-based ordinal of the tuple within its own stream. It
-	// names tuples in traces (a1, a2, ..., b1, ...) and drives count-based
-	// window semantics, where the window holds the last N tuples.
+	// names tuples in traces (a1, a2, ..., b1, ...).
 	Ord uint64
 	// Stream is the origin stream of a source tuple. Joined tuples keep
 	// the stream of the probing (male) side for bookkeeping.

@@ -175,10 +175,6 @@ func TestRebalanceValidation(t *testing.T) {
 		stateslice.WithRebalance(stateslice.Rebalance{})); err == nil {
 		t.Error("WithRebalance without WithShards must fail at Build")
 	}
-	if _, err := stateslice.Build(chaosWorkload(), stateslice.MemOpt,
-		stateslice.WithConcurrency(), stateslice.WithRebalance(stateslice.Rebalance{})); err == nil {
-		t.Error("WithRebalance on a non-sliced strategy must fail at Build")
-	}
 
 	// A sequential session has nothing to rebalance: ErrNotSharded.
 	p, err := stateslice.Build(chaosWorkload(), stateslice.MemOpt)

@@ -51,7 +51,6 @@ func TestWithShardsValidation(t *testing.T) {
 		{"negative shards", eq, stateslice.MemOpt, []stateslice.Option{stateslice.WithShards(-2)}},
 		{"non-equijoin predicate", exampleWorkload(), stateslice.MemOpt, []stateslice.Option{stateslice.WithShards(2)}},
 		{"non-chain strategy", eq, stateslice.PullUp, []stateslice.Option{stateslice.WithShards(2)}},
-		{"with concurrency", eq, stateslice.MemOpt, []stateslice.Option{stateslice.WithShards(2), stateslice.WithConcurrency()}},
 		{"with hash probing", eq, stateslice.MemOpt, []stateslice.Option{stateslice.WithShards(2), stateslice.WithHashProbing()}},
 		{"zero assembly workers", eq, stateslice.MemOpt, []stateslice.Option{stateslice.WithShards(2), stateslice.WithAssemblyWorkers(0)}},
 		{"assembly workers without shards", eq, stateslice.MemOpt, []stateslice.Option{stateslice.WithAssemblyWorkers(2)}},

@@ -62,7 +62,7 @@ func IsTerminal(err error) bool { return stream.IsTerminal(err) }
 // Sink receives one query's result tuples as they are produced, in that
 // query's delivery order. Register sinks at build time with WithSink. For
 // sequential plans the callback runs on the goroutine driving the session;
-// under WithConcurrency it runs on the query's merger goroutine, so sinks
+// under WithShards it runs on the assembly worker owning the query, so sinks
 // of different queries may fire concurrently.
 type Sink interface {
 	Emit(t *Tuple)

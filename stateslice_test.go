@@ -163,45 +163,6 @@ func TestOptimizerFacade(t *testing.T) {
 	}
 }
 
-func TestConcurrentMatchesSequential(t *testing.T) {
-	w := stateslice.Workload{
-		Queries: []stateslice.Query{
-			{Window: 2 * stateslice.Second},
-			{Window: 8 * stateslice.Second},
-		},
-		Join: stateslice.FractionMatch{S: 0.15},
-	}
-	input := exampleInput(t)
-	cp, err := stateslice.Build(w, stateslice.MemOpt, stateslice.WithConcurrency())
-	if err != nil {
-		t.Fatal(err)
-	}
-	conc, err := cp.Run(stateslice.SliceSource(input), stateslice.RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := stateslice.Build(w, stateslice.MemOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := sp.Run(stateslice.SliceSource(input), stateslice.RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi := range w.Queries {
-		if conc.SinkCounts[qi] != seq.SinkCounts[qi] {
-			t.Errorf("query %d: concurrent %d vs sequential %d", qi, conc.SinkCounts[qi], seq.SinkCounts[qi])
-		}
-	}
-	if conc.OrderViolations != 0 {
-		t.Error("concurrent execution broke ordering")
-	}
-	// Filtered workloads are rejected.
-	if _, err := stateslice.Build(exampleWorkload(), stateslice.MemOpt, stateslice.WithConcurrency()); err == nil {
-		t.Error("filtered workload must be rejected")
-	}
-}
-
 func TestBuildWithEnds(t *testing.T) {
 	w := exampleWorkload()
 	p, err := stateslice.Build(w, stateslice.MemOpt, stateslice.WithEnds(8*stateslice.Second))

@@ -155,7 +155,6 @@ type buildOptions struct {
 	migratable      bool
 	disableLineage  bool
 	hashProbing     bool
-	concurrent      bool
 	shards          int
 	shardsSet       bool
 	autoShards      bool
@@ -169,7 +168,6 @@ type buildOptions struct {
 	sinks           map[int]Sink
 	resultHandler   func(QueryID, *Tuple)
 	batchSize       int
-	batchSet        bool
 	ctx             context.Context
 	restore         *Checkpoint
 	recovery        *Restart
@@ -239,21 +237,6 @@ func WithHashProbing() Option {
 	return func(o *buildOptions) { o.hashProbing = true }
 }
 
-// WithConcurrency executes the chain with one goroutine per sliced join
-// connected by channels (the asynchronous regime of Lemma 1 / Section 9)
-// instead of the sequential engine. Valid only with MemOpt over an
-// unfiltered workload; such plans run via Plan.Run but do not support
-// sessions or migration.
-//
-// Exactly one executor drives a plan, so WithConcurrency cannot be combined
-// with WithShards (a different parallel executor) or with WithBatchSize
-// (which tunes the sequential engine the pipeline replaces): Build reports
-// an error for either combination instead of letting one option silently
-// win.
-func WithConcurrency() Option {
-	return func(o *buildOptions) { o.concurrent = true }
-}
-
 // WithShards executes the chain as p independent full replicas, the input
 // hash-partitioned by the equijoin key (Tuple.Key): tuples with equal keys
 // always land on the same replica, so every replica computes exactly the
@@ -286,8 +269,7 @@ func WithConcurrency() Option {
 // WithBatchSize composes: it tunes each replica's engine micro-batch.
 // WithShards(1) runs the full sharded machinery with one replica,
 // measuring the feed/merge overhead against the plain engine. It cannot be
-// combined with WithConcurrency (one executor per plan) or WithHashProbing
-// (sliced chains are always nested-loop).
+// combined with WithHashProbing (sliced chains are always nested-loop).
 func WithShards(p int) Option {
 	return func(o *buildOptions) {
 		if p < 1 && o.err == nil {
@@ -307,7 +289,7 @@ func WithShards(p int) Option {
 // semantics: a chain strategy and a partitionable join are required, and a
 // band join still needs a declared key domain (WithKeyRange, or KEYS in a
 // SliceQL query). Cannot be combined with WithShards (the explicit request
-// would win silently) or WithConcurrency.
+// would win silently).
 //
 // The inferred count depends on the host, so plans built with WithAutoShards
 // are reproducible in results (sharding is byte-identical at every p) but
@@ -377,18 +359,15 @@ func WithAssemblyWorkers(n int) Option {
 // migration flush), which is usually a pessimisation — see EXPERIMENTS.md.
 // A RunConfig carrying its own non-zero BatchSize overrides this option.
 //
-// WithBatchSize tunes whichever plan runs on the sequential engine: plain
-// chains and baselines directly, sharded chains (WithShards) through each
-// replica's engine. It is not valid with WithConcurrency — the pipeline
-// batches by channel slab instead, and Build reports the conflict rather
-// than picking a winner.
+// WithBatchSize tunes every plan, since every plan runs on the sequential
+// engine: plain chains and baselines directly, sharded chains (WithShards)
+// through each replica's engine.
 func WithBatchSize(k int) Option {
 	return func(o *buildOptions) {
 		if k == 0 && o.err == nil {
 			o.err = errors.New("stateslice: WithBatchSize needs a positive batch size (or negative for unbounded); the default without the option is 1, the paper-faithful per-tuple schedule")
 		}
 		o.batchSize = k
-		o.batchSet = true
 	}
 }
 
