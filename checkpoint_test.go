@@ -11,6 +11,8 @@ package stateslice_test
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"runtime/metrics"
 	"testing"
 
@@ -560,4 +562,56 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			t.Fatal("re-encoded blob does not round-trip byte-identically")
 		}
 	})
+}
+
+// TestCheckpointBlobCompat pins the chain blob of a fixed, unfiltered,
+// non-migratable Mem-Opt chain: a checkpoint taken today must equal the
+// committed blob byte for byte, and the committed blob must restore and
+// continue the run byte-identically. The blob was written by the build that
+// wired one union per query; refreshing it (-update) is a format change and
+// needs a version bump.
+func TestCheckpointBlobCompat(t *testing.T) {
+	w := stateslice.Workload{
+		Queries: []stateslice.Query{
+			{Name: "Q1", Window: 1 * stateslice.Second},
+			{Name: "Q2", Window: 2 * stateslice.Second},
+			{Name: "Q3", Window: 4 * stateslice.Second},
+		},
+		Join: stateslice.Equijoin{},
+	}
+	input := keyedInput(t)
+	k := len(input) / 2
+	want := sequentialReference(t, w, input)
+	path := filepath.Join("testdata", "checkpoint-memopt-unfiltered.blob")
+
+	p, err := stateslice.Build(w, stateslice.MemOpt, stateslice.WithCollect())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, prefix := splitConsume(t, p, input, k)
+	blob, err := cp.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	committed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run: go test -run TestCheckpointBlobCompat -update .)", err)
+	}
+	if !bytes.Equal(blob, committed) {
+		t.Errorf("checkpoint blob differs from %s (%d vs %d bytes)", path, len(blob), len(committed))
+	}
+	decoded, err := stateslice.DecodeCheckpoint(committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := resumeConsume(t, w, decoded, input, k)
+	if got := renderResults(concatResults(prefix.Results, resumed.Results)); got != want {
+		t.Error("prefix + output restored from the committed blob differs from the uninterrupted run")
+	}
 }
