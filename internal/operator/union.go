@@ -2,6 +2,7 @@ package operator
 
 import (
 	"fmt"
+	"slices"
 
 	"stateslice/internal/stream"
 )
@@ -17,18 +18,59 @@ import (
 // Ties on (Time, Seq) — results produced by the same probing tuple at
 // different slices — are emitted in ascending input order, which is the
 // chain order and therefore ascending window range.
+//
+// A union may have several outputs. Out reads every input; each output
+// added with AddOutput reads only a prefix of the inputs, the way query i of
+// an unfiltered chain reads slices 1..k_i. The merge runs once, and an item
+// of input j is pushed to every output whose prefix covers j, so each output
+// delivers exactly the sequence a union over its prefix alone would. Every
+// output forwards min(its prefix's frontier, the merge's frontier); the
+// merge's frontier is the minimum over all inputs, so that is the merge's
+// frontier itself, and no output promises past an item it has not yet
+// delivered. Costs are charged as if each output were a union of its own: an
+// absorbed punctuation and an emitted item count once per output reading
+// their input, while ordering two heads counts once for all outputs.
 type Union struct {
 	name      string
 	ins       []*stream.Queue
 	frontiers []stream.Time
-	out       Port
+	// readers counts, per input, the outputs reading it: Out plus the
+	// taps whose prefix covers the input.
+	readers []int
+	out     Port
+	// taps are the prefix outputs by descending prefix, so the taps
+	// reading input i are taps[:readers[i]-1].
+	taps []*unionTap
 	// emitted tracks the last emitted punctuation so the union forwards
 	// monotone punctuations of its own.
 	lastPunct stream.Time
 }
 
+// unionTap is an output reading the first prefix inputs.
+type unionTap struct {
+	port   Port
+	prefix int
+}
+
 // NewUnion builds a union; inputs are registered with AddInput.
 func NewUnion(name string) *Union { return &Union{name: name, lastPunct: -1} }
+
+// AddOutput adds an output that reads only the first n inputs, in
+// registration order — registered already or registered later — and returns
+// its port. Prefixes count inputs by position, so a union with such outputs
+// must not be restructured with Reorder or DropClosed.
+func (u *Union) AddOutput(n int) *Port {
+	i := 0
+	for i < len(u.taps) && u.taps[i].prefix >= n {
+		i++
+	}
+	t := &unionTap{prefix: n}
+	u.taps = slices.Insert(u.taps, i, t)
+	for j := range min(n, len(u.ins)) {
+		u.readers[j]++
+	}
+	return &t.port
+}
 
 // AddInput creates, registers and returns a new input queue.
 func (u *Union) AddInput() *stream.Queue {
@@ -39,8 +81,15 @@ func (u *Union) AddInput() *stream.Queue {
 
 // AttachInput registers an existing queue as an input.
 func (u *Union) AttachInput(q *stream.Queue) {
+	r := 1
+	for _, t := range u.taps {
+		if t.prefix > len(u.ins) {
+			r++
+		}
+	}
 	u.ins = append(u.ins, q)
 	u.frontiers = append(u.frontiers, -1)
+	u.readers = append(u.readers, r)
 }
 
 // CloseInput marks an input as finished: no further tuples will ever be
@@ -80,7 +129,7 @@ func (u *Union) DropClosed() {
 		return // nothing was moved, so every input is still in place
 	}
 	clear(u.ins[n:])
-	u.ins, u.frontiers = u.ins[:n], u.frontiers[:n]
+	u.ins, u.frontiers, u.readers = u.ins[:n], u.frontiers[:n], u.readers[:n]
 }
 
 // Inputs returns the number of registered inputs.
@@ -204,12 +253,16 @@ func (u *Union) Step(m *CostMeter, max int) int {
 		if bestT.Time > minFrontier {
 			break // an empty input may still deliver earlier tuples
 		}
-		// Emit the run.
+		// Emit the run to every output reading the input.
 		q := u.ins[best]
+		r := u.readers[best]
 		for n < bud {
 			q.Pop()
-			m.invoke(1)
+			m.invoke(r)
 			u.out.PushTuple(bestT)
+			if r > 1 {
+				u.pushTaps(r-1, bestT)
+			}
 			n++
 			// Advance to the input's next tuple head, absorbing
 			// interleaved punctuations (one comparison each, as in
@@ -222,7 +275,7 @@ func (u *Union) Step(m *CostMeter, max int) int {
 					break
 				}
 				q.Pop()
-				m.union(1)
+				m.union(r)
 				if it.Punct > u.frontiers[best] {
 					u.frontiers[best] = it.Punct
 				}
@@ -255,13 +308,22 @@ func (u *Union) Step(m *CostMeter, max int) int {
 	return n
 }
 
+// pushTaps pushes a tuple to the first n prefix outputs, the ones reading
+// the input it came from besides Out.
+func (u *Union) pushTaps(n int, t *stream.Tuple) {
+	for _, tp := range u.taps[:n] {
+		tp.port.PushTuple(t)
+	}
+}
+
 // absorbPunctuations consumes leading punctuations on every input, advancing
-// the per-input frontiers. Each punctuation costs one comparison.
+// the per-input frontiers. Each punctuation costs one comparison per output
+// reading its input.
 func (u *Union) absorbPunctuations(m *CostMeter) {
 	for i, q := range u.ins {
 		for !q.Empty() && q.Peek().IsPunct() {
 			p := q.Pop().Punct
-			m.union(1)
+			m.union(u.readers[i])
 			if p > u.frontiers[i] {
 				u.frontiers[i] = p
 			}
@@ -269,8 +331,9 @@ func (u *Union) absorbPunctuations(m *CostMeter) {
 	}
 }
 
-// forwardPunct emits the minimum frontier downstream when it advances, so
-// unions compose (a union feeding another union or a sink keeps it flushed).
+// forwardPunct emits the minimum frontier to every output when it advances,
+// so unions compose (a union feeding another union or a sink keeps it
+// flushed).
 func (u *Union) forwardPunct() {
 	if len(u.ins) == 0 {
 		return
@@ -286,6 +349,9 @@ func (u *Union) forwardPunct() {
 	if min > u.lastPunct {
 		u.lastPunct = min
 		u.out.PushPunct(min)
+		for _, t := range u.taps {
+			t.port.PushPunct(min)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package operator
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -318,5 +319,90 @@ func TestUnionBudget(t *testing.T) {
 	u.Step(nil, -1)
 	if got := drainPort(out); len(got) != 10 {
 		t.Fatalf("total emitted %d, want 10", len(got))
+	}
+}
+
+func TestUnionPrefixOutputs(t *testing.T) {
+	// One union with an output per input prefix must deliver on each output
+	// exactly the tuples a union over that prefix alone delivers, in the
+	// same order, charging the same invocations and no more union
+	// comparisons. Its punctuations are the merge's frontier, which inputs
+	// outside a short prefix may hold back, so they are checked for safety:
+	// no tuple at or below a punctuation follows it.
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 30; trial++ {
+		k := 2 + rng.Intn(4)
+		shared := NewUnion("shared")
+		outs := make([]*stream.Queue, k) // outs[p-1] reads the first p inputs
+		outs[k-1] = shared.Out().NewQueue()
+		outs[0] = shared.AddOutput(1).NewQueue() // declared before the inputs
+		ins := make([]*stream.Queue, k)
+		for i := range ins {
+			ins[i] = shared.AddInput()
+		}
+		for p := 2; p < k; p++ {
+			outs[p-1] = shared.AddOutput(p).NewQueue() // declared after them
+		}
+		alone := make([]*Union, k)
+		aloneIns := make([][]*stream.Queue, k)
+		aloneOuts := make([]*stream.Queue, k)
+		for p := 1; p <= k; p++ {
+			alone[p-1] = NewUnion("alone")
+			for range p {
+				aloneIns[p-1] = append(aloneIns[p-1], alone[p-1].AddInput())
+			}
+			aloneOuts[p-1] = alone[p-1].Out().NewQueue()
+		}
+		push := func(i int, it stream.Item) {
+			ins[i].Push(it)
+			for p := i + 1; p <= k; p++ {
+				aloneIns[p-1][i].Push(it)
+			}
+		}
+		var sharedM, aloneM CostMeter
+		step := func() {
+			shared.Step(&sharedM, -1)
+			for _, u := range alone {
+				u.Step(&aloneM, -1)
+			}
+		}
+		seq := uint64(2)
+		ts := make([]stream.Time, k)
+		for round := 0; round < 20; round++ {
+			for i := range ins {
+				for range rng.Intn(3) {
+					ts[i] += stream.Time(1 + rng.Intn(5))
+					seq += 2
+					push(i, stream.TupleItem(mkResult(ts[i], seq)))
+					push(i, stream.PunctItem(ts[i]))
+				}
+			}
+			step()
+		}
+		for i := range ins {
+			push(i, stream.PunctItem(stream.MaxTime))
+		}
+		step()
+		for p := 1; p <= k; p++ {
+			var got []*stream.Tuple
+			promised := stream.Time(-1)
+			outs[p-1].Drain(func(it stream.Item) {
+				switch {
+				case it.IsPunct():
+					promised = max(promised, it.Punct)
+				case it.Tuple.Time <= promised:
+					t.Fatalf("trial %d prefix %d: tuple at %d after punctuation %d", trial, p, it.Tuple.Time, promised)
+				default:
+					got = append(got, it.Tuple)
+				}
+			})
+			want := drainPort(aloneOuts[p-1])
+			if promised != stream.MaxTime || !slices.Equal(got, want) {
+				t.Fatalf("trial %d prefix %d: %d tuples up to %d, alone %d", trial, p, len(got), promised, len(want))
+			}
+		}
+		if sharedM.Invocations != aloneM.Invocations || sharedM.Union > aloneM.Union {
+			t.Fatalf("trial %d: shared %v, alone %v", trial, &sharedM, &aloneM)
+		}
 	}
 }

@@ -2,7 +2,7 @@ package plan
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 	"testing"
 
 	"stateslice/internal/engine"
@@ -16,17 +16,31 @@ import (
 // byte-identical per-query results at K = 7, 64 and unbounded as under the
 // paper-faithful per-tuple schedule, K = 1.
 
-func renderAll(res *engine.Result) []string {
-	out := make([]string, len(res.Results))
-	for qi, rs := range res.Results {
-		var b strings.Builder
-		for _, t := range rs {
-			fmt.Fprintf(&b, "%d/%d:(%d.%d,%d.%d);", t.Time, t.Seq,
-				t.A.Stream, t.A.Ord, t.B.Stream, t.B.Ord)
+// sameResult compares the identity of two joined results: the probing
+// tuple's (Time, Seq) and both sources.
+func sameResult(a, b *stream.Tuple) bool {
+	return a.Time == b.Time && a.Seq == b.Seq &&
+		a.A.Stream == b.A.Stream && a.A.Ord == b.A.Ord &&
+		a.B.Stream == b.B.Stream && a.B.Ord == b.B.Ord
+}
+
+// renderResult formats one joined result for failure messages.
+func renderResult(t *stream.Tuple) string {
+	return fmt.Sprintf("%d/%d:(%d.%d,%d.%d)", t.Time, t.Seq, t.A.Stream, t.A.Ord, t.B.Stream, t.B.Ord)
+}
+
+// diffResults returns "" when two result sequences are identical, and
+// otherwise describes their first difference.
+func diffResults(got, want []*stream.Tuple) string {
+	for i := range min(len(got), len(want)) {
+		if !sameResult(got[i], want[i]) {
+			return fmt.Sprintf("result %d is %s, want %s", i, renderResult(got[i]), renderResult(want[i]))
 		}
-		out[qi] = b.String()
 	}
-	return out
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d results, want %d", len(got), len(want))
+	}
+	return ""
 }
 
 // unfilteredWorkload is a chain workload of one unfiltered query per window.
@@ -88,15 +102,15 @@ func TestBatchedChainEquivalence(t *testing.T) {
 					}
 					return res
 				}
-				want := renderAll(run(1))
-				if strings.Count(strings.Join(want, ""), ";") == 0 {
+				want := run(1).Results
+				if slices.IndexFunc(want, func(rs []*stream.Tuple) bool { return len(rs) > 0 }) < 0 {
 					t.Fatalf("seed %d: reference produced no results; the equivalence check is vacuous", seed)
 				}
 				for _, k := range []int{7, 64, -1} {
-					got := renderAll(run(k))
+					got := run(k).Results
 					for qi := range want {
-						if got[qi] != want[qi] {
-							t.Errorf("seed %d batch %d: query %d results differ from the per-tuple schedule", seed, k, qi)
+						if d := diffResults(got[qi], want[qi]); d != "" {
+							t.Errorf("seed %d batch %d: query %d results differ from the per-tuple schedule: %s", seed, k, qi, d)
 						}
 					}
 				}
@@ -144,12 +158,12 @@ func TestBatchedMigrationFlushes(t *testing.T) {
 		}
 		return res
 	}
-	want := renderAll(run(1))
+	want := run(1).Results
 	for _, k := range []int{7, 64, -1} {
-		got := renderAll(run(k))
+		got := run(k).Results
 		for qi := range want {
-			if got[qi] != want[qi] {
-				t.Errorf("batch %d: query %d results differ after mid-stream migration", k, qi)
+			if d := diffResults(got[qi], want[qi]); d != "" {
+				t.Errorf("batch %d: query %d results differ after mid-stream migration: %s", k, qi, d)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"stateslice/internal/engine"
 	"stateslice/internal/fault"
@@ -56,9 +57,11 @@ type SlotCheckpoint struct {
 	// a query's matches coming oldest-first the way the unsplit slice
 	// produced them, which puts the older slice ahead of the younger one.
 	// A restored chain replays this order onto its freshly wired unions so
-	// its output stays byte-identical to the live chain's. Empty when the
-	// slot has no union (single-terminal plans) — such chains cannot be
-	// restructured, so fresh wiring is already the right order.
+	// its output stays byte-identical to the live chain's. A slot reading
+	// a fixed chain's shared union records its slice prefix in chain order.
+	// Empty when the slot has no union (single-terminal plans) — such
+	// chains cannot be restructured, so fresh wiring is already the right
+	// order.
 	Edges []int
 }
 
@@ -135,15 +138,17 @@ func (sp *StateSlicePlan) Checkpoint(s *engine.Session) (*ChainCheckpoint, error
 }
 
 // unionEdgeOrder returns the slice indices feeding slot qi's union in the
-// union's current input order. Every restructure reclaims the closed inputs
-// inside its own barrier (rebuildOps), so the only closed inputs left are a
-// just-detached slot's, kept until its union forwards MaxTime. Closed inputs
-// appear in no slice's edge list and are skipped: at the barrier they are
-// drained and inert, so only the live inputs define future ties.
+// union's current input order; a slot reading the shared union reports its
+// slice prefix in chain order, the order a union of its own would have had.
+// Every restructure reclaims the closed inputs inside its own barrier
+// (rebuildOps), so the only closed inputs left are a just-detached slot's,
+// kept until its union forwards MaxTime. Closed inputs appear in no slice's
+// edge list and are skipped: at the barrier they are drained and inert, so
+// only the live inputs define future ties.
 func (sp *StateSlicePlan) unionEdgeOrder(qi int) []int {
 	u := sp.unions[qi]
 	if u == nil {
-		return nil
+		return sp.sharedPrefix(qi)
 	}
 	owner := make(map[*stream.Queue]int)
 	for si, n := range sp.slices {
@@ -162,12 +167,39 @@ func (sp *StateSlicePlan) unionEdgeOrder(qi int) []int {
 	return order
 }
 
+// sharedPrefix returns the slice indices slot qi reads through the shared
+// union — 0 up to the slice holding its window — or nil when it does not
+// read the shared union. Chains with a shared union are never restructured,
+// so the prefix is fixed by the slot's window.
+func (sp *StateSlicePlan) sharedPrefix(qi int) []int {
+	if sp.shared == nil {
+		return nil
+	}
+	k := sp.sliceOf(sp.w.Queries[qi].Window) + 1
+	if k == 1 {
+		return nil
+	}
+	order := make([]int, k)
+	for i := range order {
+		order[i] = i
+	}
+	return order
+}
+
 // applyEdgeOrder permutes slot qi's freshly wired union inputs into the
 // checkpoint's recorded slice order, validating that the snapshot and the
-// rebuilt chain agree on which slices feed the slot.
+// rebuilt chain agree on which slices feed the slot. A slot reading the
+// shared union accepts only its slice prefix in chain order, which is what
+// a fixed chain records.
 func (sp *StateSlicePlan) applyEdgeOrder(qi int, order []int) error {
 	u := sp.unions[qi]
 	if u == nil {
+		if prefix := sp.sharedPrefix(qi); prefix != nil {
+			if !slices.Equal(order, prefix) {
+				return fmt.Errorf("slot %d records union edges %v but the rebuilt chain's shared union reads slices %v in chain order — the checkpoint was taken from a differently shaped plan", qi, order, prefix)
+			}
+			return nil
+		}
 		return fmt.Errorf("slot %d records %d union edges but the rebuilt chain wires its results straight to the sink — the checkpoint was taken from a differently shaped plan", qi, len(order))
 	}
 	queues := make(map[int]*stream.Queue, len(order))

@@ -61,8 +61,13 @@ type StateSlicePlan struct {
 	entryOps []operator.Operator
 	chainIn  *operator.ChainInput
 	slices   []*sliceNode
-	unions   []*operator.Union // per query slot; nil when wired directly to the sink
-	sinks    []*operator.Sink
+	unions   []*operator.Union // per query slot; nil when wired directly to the sink or read from shared
+	// shared is the one union of a fixed chain whose slice results are
+	// query-agnostic: input i is slice i, and every query served by more
+	// than one slice reads the prefix of slices up to its window. nil for
+	// migratable, filtered and routed chains, which keep per-query unions.
+	shared *operator.Union
+	sinks  []*operator.Sink
 
 	// live marks which query slots subscribe to the chain. Build admits
 	// every workload query; Attach appends slots, Detach clears them.
@@ -183,9 +188,17 @@ func BuildStateSlice(w Workload, cfg StateSliceConfig) (*StateSlicePlan, error) 
 
 	// Per-query terminals: a union when several slices contribute (or
 	// always, for migratable plans), the result port itself otherwise.
-	// Sinks consume their source synchronously (no queue hop): a sink is
-	// a terminal with no downstream, so queueing its input only deferred
-	// identical work to another scheduling pass.
+	// When every slice's results are query-agnostic and the chain is
+	// fixed (the RawSliceResults predicate), the queries share one union
+	// instead, each reading the prefix of slices its window spans; the
+	// query spanning every slice reads the union's main output (a
+	// one-slice chain needs no union at all). Sinks consume their source
+	// synchronously (no queue hop): a sink is a terminal with no
+	// downstream, so queueing its input only deferred identical work to
+	// another scheduling pass.
+	if !cfg.RawSliceResults && validateRawSliceResults(w, ends, cfg) == nil && len(ends) > 1 {
+		sp.shared = operator.NewUnion(name + ".union")
+	}
 	sp.unions = make([]*operator.Union, len(w.Queries))
 	sp.sinks = make([]*operator.Sink, len(w.Queries))
 	sp.live = make([]bool, len(w.Queries))
@@ -193,13 +206,21 @@ func BuildStateSlice(w Workload, cfg StateSliceConfig) (*StateSlicePlan, error) 
 		sp.live[qi] = true
 		contributing := sp.sliceOf(q.Window) + 1
 		sink := sp.newQuerySink(qi)
-		if !cfg.RawSliceResults && (cfg.Migratable || contributing > 1) {
+		switch {
+		case cfg.RawSliceResults || (!cfg.Migratable && contributing == 1):
+			// A single slice contributes and wireSliceResults attaches
+			// the sink to its (possibly filtered) result port.
+		case sp.shared != nil:
+			port := sp.shared.Out()
+			if contributing < len(ends) || port.Connected() {
+				port = sp.shared.AddOutput(contributing)
+			}
+			port.AttachFunc(sink.Accept)
+		default:
 			u := operator.NewUnion(w.QueryName(qi) + ".union")
 			sp.unions[qi] = u
 			u.Out().AttachFunc(sink.Accept)
 		}
-		// Otherwise a single slice contributes and wireSliceResults
-		// attaches the sink to its (possibly filtered) result port.
 		sp.sinks[qi] = sink
 	}
 
@@ -321,8 +342,9 @@ func (sp *StateSlicePlan) QuerySlots() []QuerySlot {
 }
 
 // QueryUnion returns the order-preserving union assembling query qi's
-// answer, or nil when a single slice feeds the sink directly (possible only
-// for non-migratable chains). The union's output port is the query's
+// answer, or nil when a single slice feeds the sink directly or the query
+// reads the chain's shared union (both only on non-migratable chains, where
+// the sink is the query's terminal). The union's output port is the query's
 // terminal: consumers that replace the sink — the sharded executor taps the
 // port straight into its cross-replica merge — may detach it and attach
 // their own function. Migrations rewire the union's inputs, never its
@@ -443,6 +465,19 @@ func (sp *StateSlicePlan) wireSliceResults(si int) error {
 	node.edges = nil
 	start, end := node.join.Range()
 	served := sp.servedAt(start)
+	if sp.shared != nil {
+		// The slice's results enter the shared union once; only a query
+		// the first slice serves alone reads the port itself.
+		node.join.Result().Attach(sp.shared.AddInput())
+		if si == 0 {
+			for _, qi := range served {
+				if sp.w.Queries[qi].Window <= end {
+					node.join.Result().AttachFunc(sp.sinks[qi].Accept)
+				}
+			}
+		}
+		return nil
+	}
 
 	// Partition the served queries: windows inside (start, end] need
 	// routing when more than one distinct window lands there; windows
@@ -627,6 +662,9 @@ func (sp *StateSlicePlan) rebuildOps() {
 			ops = append(ops, n.router)
 		}
 		ops = append(ops, n.filters...)
+	}
+	if sp.shared != nil {
+		ops = append(ops, sp.shared)
 	}
 	retired := func(qi int) bool {
 		u := sp.unions[qi]

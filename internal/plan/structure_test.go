@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -79,8 +80,10 @@ func TestFigure10Structure(t *testing.T) {
 }
 
 func TestFigure12MemOptStructure(t *testing.T) {
-	// N queries without selections: N slices, no gates, no routers,
-	// unions for every query beyond the first slice (Figure 12).
+	// N queries without selections: N slices, no gates, no routers, and
+	// the union of every query beyond the first slice (Figure 12) merged
+	// once: one union whose outputs for Q2..Q4 read the slice prefixes of
+	// length 2, 3 and 4.
 	w := Workload{
 		Queries: []Query{
 			{Window: 1 * stream.Second},
@@ -101,8 +104,16 @@ func TestFigure12MemOptStructure(t *testing.T) {
 	if got := countOps(ops, isLineageGate); got != 0 {
 		t.Errorf("gates = %d, want 0 without selections", got)
 	}
-	if got := countOps(ops, isUnion); got != 3 {
-		t.Errorf("unions = %d, want 3 (Q2..Q4)", got)
+	if got := countOps(ops, isUnion); got != 1 {
+		t.Errorf("unions = %d, want 1 shared by Q2..Q4", got)
+	}
+	if got := sp.shared.Inputs(); got != 4 {
+		t.Errorf("shared union inputs = %d, want one per slice", got)
+	}
+	for qi, want := range [][]int{nil, {0, 1}, {0, 1, 2}, {0, 1, 2, 3}} {
+		if got := sp.unionEdgeOrder(qi); !slices.Equal(got, want) {
+			t.Errorf("Q%d reads slices %v, want %v", qi+1, got, want)
+		}
 	}
 	if got := len(sp.Plan.Stateful); got != 4 {
 		t.Errorf("stateful operators = %d, want the 4 slices", got)
