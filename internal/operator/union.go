@@ -23,11 +23,11 @@ import (
 // added with AddOutput reads only a prefix of the inputs, the way query i of
 // an unfiltered chain reads slices 1..k_i. The merge runs once, and an item
 // of input j is pushed to every output whose prefix covers j, so each output
-// delivers exactly the sequence a union over its prefix alone would. Every
-// output forwards min(its prefix's frontier, the merge's frontier); the
-// merge's frontier is the minimum over all inputs, so that is the merge's
-// frontier itself, and no output promises past an item it has not yet
-// delivered. Costs are charged as if each output were a union of its own: an
+// delivers exactly the tuples, in the same order, that a union over its
+// prefix alone would. Every output forwards min(its prefix's frontier, the
+// merge's frontier); the merge's frontier is the minimum over all inputs, so
+// that is the merge's frontier itself, and no output promises past an item
+// it has not yet delivered. Costs are charged as if each output were a union of its own: an
 // absorbed punctuation and an emitted item count once per output reading
 // their input, while ordering two heads counts once for all outputs.
 type Union struct {
@@ -46,31 +46,8 @@ type Union struct {
 	lastPunct stream.Time
 }
 
-// unionTap is an output reading the first prefix inputs.
-type unionTap struct {
-	port   Port
-	prefix int
-}
-
 // NewUnion builds a union; inputs are registered with AddInput.
 func NewUnion(name string) *Union { return &Union{name: name, lastPunct: -1} }
-
-// AddOutput adds an output that reads only the first n inputs, in
-// registration order — registered already or registered later — and returns
-// its port. Prefixes count inputs by position, so a union with such outputs
-// must not be restructured with Reorder or DropClosed.
-func (u *Union) AddOutput(n int) *Port {
-	i := 0
-	for i < len(u.taps) && u.taps[i].prefix >= n {
-		i++
-	}
-	t := &unionTap{prefix: n}
-	u.taps = slices.Insert(u.taps, i, t)
-	for j := range min(n, len(u.ins)) {
-		u.readers[j]++
-	}
-	return &t.port
-}
 
 // AddInput creates, registers and returns a new input queue.
 func (u *Union) AddInput() *stream.Queue {
@@ -308,14 +285,6 @@ func (u *Union) Step(m *CostMeter, max int) int {
 	return n
 }
 
-// pushTaps pushes a tuple to the first n prefix outputs, the ones reading
-// the input it came from besides Out.
-func (u *Union) pushTaps(n int, t *stream.Tuple) {
-	for _, tp := range u.taps[:n] {
-		tp.port.PushTuple(t)
-	}
-}
-
 // absorbPunctuations consumes leading punctuations on every input, advancing
 // the per-input frontiers. Each punctuation costs one comparison per output
 // reading its input.
@@ -366,4 +335,35 @@ func tupleLess(a, b *stream.Tuple) bool {
 // String describes the union wiring for traces.
 func (u *Union) String() string {
 	return fmt.Sprintf("%s(%d inputs)", u.name, len(u.ins))
+}
+
+// unionTap is an output reading the first prefix inputs.
+type unionTap struct {
+	port   Port
+	prefix int
+}
+
+// AddOutput adds an output that reads only the first n inputs, in
+// registration order — registered already or registered later — and returns
+// its port. Prefixes count inputs by position, so a union with such outputs
+// must not be restructured with Reorder or DropClosed.
+func (u *Union) AddOutput(n int) *Port {
+	i := 0
+	for i < len(u.taps) && u.taps[i].prefix >= n {
+		i++
+	}
+	t := &unionTap{prefix: n}
+	u.taps = slices.Insert(u.taps, i, t)
+	for j := range min(n, len(u.ins)) {
+		u.readers[j]++
+	}
+	return &t.port
+}
+
+// pushTaps pushes a tuple to the first n prefix outputs, the ones reading
+// the input it came from besides Out.
+func (u *Union) pushTaps(n int, t *stream.Tuple) {
+	for _, tp := range u.taps[:n] {
+		tp.port.PushTuple(t)
+	}
 }
