@@ -225,9 +225,6 @@ func Build(w Workload, s Strategy, opts ...Option) (Plan, error) {
 	if o.autoShards && o.shardsSet {
 		return nil, errors.New("stateslice: WithAutoShards and WithShards both set the shard count; choose one")
 	}
-	if o.assemblySet && !o.shardsSet && !o.autoShards {
-		return nil, errors.New("stateslice: WithAssemblyWorkers tunes the sharded executor's merge layer and requires WithShards")
-	}
 	if o.keyRangeSet && !o.shardsSet && !o.autoShards {
 		return nil, errors.New("stateslice: WithKeyRange parameterizes the sharded executor's band partitioner and requires WithShards")
 	}

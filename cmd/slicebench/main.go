@@ -57,7 +57,6 @@ func main() {
 		jsonOut    = flag.String("json", "", "write the machine-readable perf report to this path (\"-\" for stdout) and exit")
 		reps       = flag.Int("reps", 3, "repetitions per perf variant for -json (best wall clock wins)")
 		shardList  = flag.String("shards", "1,2,4,8", "shard counts for the -json equijoin sweep (empty disables the sharded suite)")
-		workerList = flag.String("workers", "0", "assembly-worker counts crossed with every shard count in the -json sweep (0 = the automatic default)")
 		bandWidth  = flag.Int64("band", 1, "band width B of the -json band-join suite (|A.Key - B.Key| <= B; negative disables the suite)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this path")
 	)
@@ -82,8 +81,6 @@ func main() {
 	if *jsonOut != "" {
 		shards, err := parseShards(*shardList)
 		check(err)
-		workers, err := parseWorkers(*workerList)
-		check(err)
 		if *bandWidth == 0 {
 			// PerfConfig treats 0 as "use the tracked default", so an
 			// explicit -band 0 would silently measure B=1. B=0 is the
@@ -91,7 +88,7 @@ func main() {
 			// measures with the cheaper hash partitioner.
 			check(fmt.Errorf("-band 0 is the equijoin degenerate (measured by the sharded suite); use a positive width, or -band -1 to disable the band suite"))
 		}
-		check(perfJSON(*jsonOut, *duration, *seed, *reps, shards, workers, *bandWidth))
+		check(perfJSON(*jsonOut, *duration, *seed, *reps, shards, *bandWidth))
 		return
 	}
 
@@ -243,13 +240,12 @@ func runFig19(p bench.Fig19Panel, rates []float64, dur float64, seed int64) ([]b
 }
 
 // perfJSON runs the tracked perf suite and writes the JSON report.
-func perfJSON(path string, duration float64, seed int64, reps int, shards, workers []int, band int64) error {
+func perfJSON(path string, duration float64, seed int64, reps int, shards []int, band int64) error {
 	rep, err := bench.RunPerf(bench.PerfConfig{
 		DurationSec: duration,
 		Seed:        seed,
 		Reps:        reps,
 		Shards:      shards,
-		Workers:     workers,
 		BandWidth:   band,
 	})
 	if err != nil {
@@ -278,23 +274,6 @@ func parseShards(s string) ([]int, error) {
 		v, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil || v < 1 {
 			return nil, fmt.Errorf("bad shard count %q", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// parseWorkers parses the -workers list; 0 entries select the automatic
-// assembly-worker default.
-func parseWorkers(s string) ([]int, error) {
-	var out []int
-	if strings.TrimSpace(s) == "" {
-		return []int{0}, nil
-	}
-	for _, p := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("bad worker count %q", p)
 		}
 		out = append(out, v)
 	}

@@ -50,8 +50,8 @@ var (
 )
 
 // PanicError is the classified error a recovered panic surfaces as: every
-// goroutine the executors spawn (shard replica runners, merge and assembly
-// workers, pipeline stages) and every user-callback boundary (Source pulls,
+// goroutine the executors spawn (shard replica runners, merge workers, the
+// assembler) and every user-callback boundary (Source pulls,
 // Sink and WithResultHandler callbacks, operator scheduling) recovers panics
 // into one of these and publishes it through the session's first-error
 // machinery — the session fails, the process survives. Unwrap with

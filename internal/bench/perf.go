@@ -52,7 +52,7 @@ type PerfWorkload struct {
 
 // PerfRun is one measured execution variant.
 type PerfRun struct {
-	// Variant labels the execution path, e.g. "engine/k=1" or "shards/p=2,w=1".
+	// Variant labels the execution path, e.g. "engine/k=1" or "shards/p=2".
 	Variant string `json:"variant"`
 	// BatchSize is the engine micro-batch size K (1 = the paper-faithful
 	// tuple-at-a-time schedule; -1 = drain only at the end; 0 for sharded
@@ -62,11 +62,6 @@ type PerfRun struct {
 	// variants. Comparable across hosts only together with the report's
 	// GOMAXPROCS.
 	Shards int `json:"shards,omitempty"`
-	// Workers is the resolved assembly-worker pool size of a sharded run
-	// (the goroutines reassembling the global output order); 0 for
-	// unsharded variants. Like Shards it is only comparable together with
-	// GOMAXPROCS.
-	Workers int `json:"workers,omitempty"`
 	// Band is the band width B of a band-partitioned sharded run; absent
 	// for hash-partitioned and unsharded variants (note B = 0 is only
 	// reachable through the equijoin suite, so omitempty is unambiguous).
@@ -171,11 +166,6 @@ type PerfConfig struct {
 	// Shards is the shard-count sweep of the equijoin suite; nil selects
 	// DefaultShardCounts, an explicit empty slice disables the suite.
 	Shards []int
-	// Workers is the assembly-worker sweep of the equijoin suite, crossed
-	// with every shard count; nil selects DefaultWorkerCounts (the
-	// automatic default only). A 0 entry means "auto"; the report records
-	// the resolved pool size per run either way.
-	Workers []int
 	// KeyDomain is the equijoin suite's uniform key domain; 0 selects
 	// workload.EquijoinKeyDomain (selectivity matching S1's default).
 	KeyDomain int64
@@ -189,10 +179,6 @@ type PerfConfig struct {
 
 // DefaultShardCounts is the tracked shard sweep.
 var DefaultShardCounts = []int{1, 2, 4, 8}
-
-// DefaultWorkerCounts is the tracked assembly-worker sweep: the automatic
-// default only, so the baseline report stays one run per shard count.
-var DefaultWorkerCounts = []int{0}
 
 func (c *PerfConfig) defaults() {
 	if c.Queries == 0 {
@@ -218,9 +204,6 @@ func (c *PerfConfig) defaults() {
 	}
 	if c.Shards == nil {
 		c.Shards = DefaultShardCounts
-	}
-	if c.Workers == nil {
-		c.Workers = DefaultWorkerCounts
 	}
 	if c.KeyDomain == 0 {
 		c.KeyDomain = workload.EquijoinKeyDomain
@@ -348,9 +331,8 @@ func runBandSuite(cfg PerfConfig) (*PerfSuite, error) {
 // runTwinSuite is the shared sweep skeleton of the sharded twin suites: one
 // keyed input, the in-suite engine baseline (the single-core reference the
 // sweep is judged against; every variant must produce identical output
-// counts), then the sharded executor over the shards ×
-// workers grid — hash-partitioned when band is nil, band-partitioned
-// otherwise.
+// counts), then the sharded executor at every shard count —
+// hash-partitioned when band is nil, band-partitioned otherwise.
 func runTwinSuite(cfg PerfConfig, w plan.Workload, keyDomain int64, selectivity float64, band *shard.Band) (*PerfSuite, error) {
 	input, err := stream.Generate(stream.GeneratorConfig{
 		RateA:     cfg.Rate,
@@ -380,24 +362,21 @@ func runTwinSuite(cfg PerfConfig, w plan.Workload, keyDomain int64, selectivity 
 	}
 	suite.Runs = append(suite.Runs, *run)
 	for _, p := range cfg.Shards {
-		for _, workers := range cfg.Workers {
-			run, err := perfSharded(w, input, p, workers, cfg.Reps, band)
-			if err != nil {
-				return nil, err
-			}
-			suite.Runs = append(suite.Runs, *run)
+		run, err := perfSharded(w, input, p, cfg.Reps, band)
+		if err != nil {
+			return nil, err
 		}
+		suite.Runs = append(suite.Runs, *run)
 	}
 	return suite, nil
 }
 
-// perfSharded measures the sharded executor at shard count p with the given
-// assembly-worker setting (0 = the automatic default; the run records the
-// resolved pool size), on the slice-merge fast path the public WithShards
-// build selects for this workload shape (unfiltered Mem-Opt). A non-nil
+// perfSharded measures the sharded executor at shard count p on the
+// slice-merge fast path the public WithShards build selects for this
+// workload shape (unfiltered Mem-Opt). A non-nil
 // band selects the range-partitioned executor with boundary replication;
 // nil keeps the key hash.
-func perfSharded(w plan.Workload, input []*stream.Tuple, p, workers, reps int, band *shard.Band) (*PerfRun, error) {
+func perfSharded(w plan.Workload, input []*stream.Tuple, p, reps int, band *shard.Band) (*PerfRun, error) {
 	windows := make([]stream.Time, len(w.Queries))
 	for i, q := range w.Queries {
 		windows[i] = q.Window
@@ -405,25 +384,23 @@ func perfSharded(w plan.Workload, input []*stream.Tuple, p, workers, reps int, b
 	run := &PerfRun{Shards: p}
 	for r := 0; r < reps; r++ {
 		e, err := shard.New(shard.Config{
-			Shards:          p,
-			AssemblyWorkers: workers,
-			SampleEvery:     1 << 30, // no memory sampling on the measured path
-			Band:            band,
-			SliceMerge:      true,
-			Windows:         windows,
-			Name:            "perf-sharded",
+			Shards:      p,
+			SampleEvery: 1 << 30, // no memory sampling on the measured path
+			Band:        band,
+			SliceMerge:  true,
+			Windows:     windows,
+			Name:        "perf-sharded",
 		}, func(int) (*plan.StateSlicePlan, error) {
 			return plan.BuildStateSlice(w, plan.StateSliceConfig{Name: "perf", RawSliceResults: true})
 		})
 		if err != nil {
 			return nil, err
 		}
-		run.Workers = e.Workers()
 		if band != nil {
 			run.Band = band.Width
-			run.Variant = fmt.Sprintf("band/p=%d,w=%d", p, run.Workers)
+			run.Variant = fmt.Sprintf("band/p=%d", p)
 		} else {
-			run.Variant = fmt.Sprintf("shards/p=%d,w=%d", p, run.Workers)
+			run.Variant = fmt.Sprintf("shards/p=%d", p)
 		}
 		allocs, bytes, wall, res, err := measured(func() (perfResult, error) {
 			er, err := e.Run(stream.NewSliceSource(input))

@@ -97,7 +97,7 @@ const (
 	// MergeApply fires before a merge worker folds one tagged result batch
 	// into its query's cross-replica merge.
 	MergeApply
-	// AssembleApply fires before an assembly worker folds one slice batch
+	// AssembleApply fires before the assembler folds one slice batch
 	// into its slice merge (the slice-merge fast path).
 	AssembleApply
 	// BarrierApply fires before a replica runner applies one barrier

@@ -13,20 +13,16 @@ import (
 	"stateslice/internal/stream"
 )
 
-// These tests pin the parallel assembly stage added on top of the sharded
-// executor: byte-identical results across the full (shards × assembly
-// workers) matrix on every workload shape, executor-level validation of
-// slice-merge windows before any goroutine starts, and the propagation of
-// injected replica failures to the driver — a failed replica must never
-// look like a clean run.
+// These tests pin the assembly stage on top of the sharded executor:
+// byte-identical results at every shard count on every workload shape,
+// executor-level validation of slice-merge windows before any goroutine
+// starts, and the propagation of injected replica failures to the driver —
+// a failed replica must never look like a clean run.
 
-// workerCounts is the assembly-worker sweep of the equivalence matrix.
-var workerCounts = []int{1, 2, 4}
-
-// matrixInput is a shorter workload than testInput: the matrix multiplies
-// 24 (shards × workers) combinations per topology per distribution, and
-// equivalence needs coverage of the merge interleavings, not volume — the
-// full-length inputs stay on the single-sweep tests.
+// matrixInput is a shorter workload than testInput: the matrix runs every
+// shard count per topology per distribution, and equivalence needs
+// coverage of the merge interleavings, not volume — the full-length inputs
+// stay on the single-sweep tests.
 func matrixInput(t testing.TB, seed, keyDomain int64) []*stream.Tuple {
 	t.Helper()
 	input, err := stream.Generate(stream.GeneratorConfig{
@@ -42,8 +38,8 @@ func matrixInput(t testing.TB, seed, keyDomain int64) []*stream.Tuple {
 }
 
 // TestAssemblyWorkerMatrix checks equivalence with the sequential engine at
-// every (shards, workers) combination on uniform, quadratically skewed and
-// single-hot-key workloads, on both merge topologies.
+// every shard count on uniform, quadratically skewed and single-hot-key
+// workloads, on both merge topologies.
 func TestAssemblyWorkerMatrix(t *testing.T) {
 	windows := []stream.Time{2 * stream.Second, 5 * stream.Second, 5 * stream.Second, 9 * stream.Second}
 	w := chainWorkload(windows...)
@@ -66,19 +62,17 @@ func TestAssemblyWorkerMatrix(t *testing.T) {
 				t.Fatal("reference produced no results; the matrix is vacuous")
 			}
 			for _, p := range shardCounts {
-				for _, workers := range workerCounts {
-					cfg := Config{Shards: p, AssemblyWorkers: workers, PunctEvery: 64}
-					res := runSlicedMerge(t, w, input, cfg)
-					assertByteIdentical(t, fmt.Sprintf("fast p=%d w=%d", p, workers), res, ref)
-					res = runSharded(t, w, input, cfg)
-					assertByteIdentical(t, fmt.Sprintf("general p=%d w=%d", p, workers), res, ref)
-				}
+				cfg := Config{Shards: p, PunctEvery: 64}
+				res := runSlicedMerge(t, w, input, cfg)
+				assertByteIdentical(t, fmt.Sprintf("fast p=%d", p), res, ref)
+				res = runSharded(t, w, input, cfg)
+				assertByteIdentical(t, fmt.Sprintf("general p=%d", p), res, ref)
 			}
 		})
 	}
 }
 
-// TestAssemblyWorkersMigrated runs the worker sweep across a mid-stream
+// TestAssemblyWorkersMigrated runs the sharded executor across a mid-stream
 // migration (general path only; the fast path rejects migration), against a
 // sequential session migrated at the same stream position.
 func TestAssemblyWorkersMigrated(t *testing.T) {
@@ -107,30 +101,25 @@ func TestAssemblyWorkersMigrated(t *testing.T) {
 	}
 	ref := refSess.Finish()
 
-	for _, workers := range workerCounts {
-		e, err := New(Config{Shards: 4, AssemblyWorkers: workers, Collect: true},
-			factory(w, plan.StateSliceConfig{Migratable: true}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := e.Workers(); got != min(workers, len(w.Queries)) {
-			t.Fatalf("workers=%d: executor resolved %d workers", workers, got)
-		}
-		if err := e.Consume(stream.NewSliceSource(input[:half])); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Migrate(target); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Consume(stream.NewSliceSource(input[half:])); err != nil {
-			t.Fatal(err)
-		}
-		res, err := e.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertByteIdentical(t, fmt.Sprintf("migrated w=%d", workers), res, ref)
+	e, err := New(Config{Shards: 4, Collect: true},
+		factory(w, plan.StateSliceConfig{Migratable: true}))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := e.Consume(stream.NewSliceSource(input[:half])); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Migrate(target); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Consume(stream.NewSliceSource(input[half:])); err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertByteIdentical(t, "migrated", res, ref)
 }
 
 // TestValidateSliceMergeWindows pins the executor-level window validation:
@@ -187,7 +176,7 @@ func TestReplicaErrorPropagates(t *testing.T) {
 
 			w := chainWorkload(2*stream.Second, 6*stream.Second)
 			input := testInput(t, 5, 16)
-			cfg := Config{Shards: 4, AssemblyWorkers: 2, PunctEvery: 32}
+			cfg := Config{Shards: 4, PunctEvery: 32}
 			rcfg := plan.StateSliceConfig{}
 			if fast {
 				cfg.SliceMerge = true

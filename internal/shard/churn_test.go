@@ -2,6 +2,7 @@ package shard
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -26,11 +27,11 @@ const (
 	// churnWarm fills the largest window (8 s at 20 inputs/s) before the
 	// first cycle.
 	churnWarm = 160
-	// churnDigest is the SHA-256 of every query's rendered result sequence
-	// after the script, recorded before closed inputs and dead slots were
-	// reclaimed: reclamation must not change a single delivered result or
-	// its position.
-	churnDigest = "1db3e447d601ac040a2d859bd5753a139a07390230504beb4a2240bb80dc91f9"
+	// churnDigest is resultDigest of every query's result sequence after
+	// the script, over the same results recorded before closed inputs and
+	// dead slots were reclaimed: reclamation must not change a single
+	// delivered result or its position.
+	churnDigest = "12145ba1dd7a902bd5c21e92b5ec37721a45eb35e4cf966322ede4b5801b69a0"
 )
 
 // churnWindows are the built-in queries; the one at index churnHolder is
@@ -210,11 +211,23 @@ func runChurn(t *testing.T, r churnRun) *engine.Result {
 	return res
 }
 
-// resultDigest hashes every query's rendered result sequence.
+// resultDigest hashes every query's result sequence: per query its index
+// and length, then per result Time, Seq and both sources' Stream and Ord,
+// little-endian.
 func resultDigest(res *engine.Result) string {
 	h := sha256.New()
+	var buf []byte
 	for qi, rs := range res.Results {
-		fmt.Fprintf(h, "Q%d:%s\n", qi, renderResults(rs))
+		buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(qi))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(rs)))
+		for _, t := range rs {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(t.Time))
+			buf = binary.LittleEndian.AppendUint64(buf, t.Seq)
+			buf = append(buf, byte(t.A.Stream), byte(t.B.Stream))
+			buf = binary.LittleEndian.AppendUint64(buf, t.A.Ord)
+			buf = binary.LittleEndian.AppendUint64(buf, t.B.Ord)
+		}
+		h.Write(buf)
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
 }

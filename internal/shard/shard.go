@@ -29,13 +29,11 @@
 // (Config.PunctEvery), which the engine forwards through the chain
 // (engine.Session.FeedPunct).
 //
-// Two merge topologies share that machinery, both parallelized across a
-// pool of assembly workers (Config.AssemblyWorkers) so that no single
-// goroutine has to touch every result item. The general path merges each
-// query's per-shard output streams; the query mergers are distributed over
-// the worker pool (by default one worker per query, so every merger runs
-// concurrently); it handles every chain the engine handles — filters,
-// routed slices, mid-stream migration. The slice-merge fast path
+// Two merge topologies share that machinery. The general path merges each
+// query's per-shard output streams, one merge goroutine per founding query
+// (admitted queries share them round-robin), so every merger runs
+// concurrently; it handles every chain the engine handles — filters, routed
+// slices, mid-stream migration. The slice-merge fast path
 // (Config.SliceMerge, for unfiltered chains whose every window is a slice
 // boundary) merges each *slice's* per-shard result stream instead and
 // assembles the per-query answers engine-style: every distinct result
@@ -43,12 +41,9 @@
 // — the margin that lets the sharded executor beat the single-core engine
 // even on one core, where only the probe-work reduction of smaller
 // per-shard states (and none of the parallelism) is available to pay for
-// the merge. On the fast path the assembly itself is sharded by query:
-// each worker owns a disjoint subset of the per-query unions, slice merges
-// are distributed across the workers, and a worker that merges a slice
-// forwards the merged spans (as recycled slabs) to the other workers whose
-// queries subscribe to it — see assemble.go for the topology and its
-// deadlock-freedom argument.
+// the merge — and is merged across slices once, by one shared union with a
+// prefix output per query. One assembly goroutine owns the slice merges,
+// the union and the sinks — see assemble.go.
 //
 // Result streams cross goroutines as item slabs (stream.Batcher) over
 // bounded channels (see stream.SlabCap for why slab boundaries never change
@@ -59,12 +54,12 @@
 // come from exactly one shard (its key's only shard under hash
 // partitioning; its key's owner shard after band suppression) — so the
 // merged sequence is the unique global (Time, Seq) order, byte-identical
-// to the sequential engine's output at every shard and worker count.
+// to the sequential engine's output at every shard count.
 //
 // Replica failures are never swallowed: the first error any runner hits is
 // published to the driver, surfaces on the next Feed/Consume/Migrate call,
 // and is returned again by Finish. Panics inside any spawned goroutine —
-// replica runners, merge workers, assembly workers — are contained the same
+// replica runners, merge workers, the assembler — are contained the same
 // way: recovered into a fault.PanicError and published as the first error,
 // so one crashing operator or user callback fails the session instead of
 // the process (the blast-radius property a shared chain owes its co-hosted
@@ -86,7 +81,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -129,16 +123,6 @@ type Config struct {
 	// sharded machinery — feed channels, merge layer — and measures its
 	// overhead against the plain engine.
 	Shards int
-	// AssemblyWorkers is the number of goroutines the merge layer runs
-	// (>= 1; capped at the query count). 0 selects an automatic default:
-	// on the query-level merge path, one worker per query, so every
-	// query's merger runs concurrently; on the slice-merge fast path,
-	// min(queries, max(1, GOMAXPROCS/2), 4) — half the schedulable cores
-	// (the replicas need the other half; they are ~70% of the work), and
-	// never more than the parallelism the assembly stage has been
-	// measured to use productively. Results are byte-identical at every
-	// worker count; the knob only moves where the reassembly work runs.
-	AssemblyWorkers int
 	// BatchSize is the engine micro-batch size K applied to every
 	// replica's session (see engine.Config.BatchSize).
 	BatchSize int
@@ -161,9 +145,10 @@ type Config struct {
 	// Collect makes the per-query merge sinks retain result tuples.
 	Collect bool
 	// OnResult, when non-nil, receives every result of query qi in that
-	// query's delivery order, from the assembly worker owning the query
-	// (callbacks for queries owned by different workers run
-	// concurrently).
+	// query's delivery order. On the slice-merge path every callback runs
+	// on the one assembler goroutine; on the query-level path each on its
+	// query's merge worker, so callbacks of different queries may run
+	// concurrently.
 	OnResult func(qi int, t *stream.Tuple)
 	// Ctx, when non-nil, bounds the whole run: once it is done, Consume
 	// stops between tuples, barrier waits abandon, and blocked feed sends
@@ -173,10 +158,10 @@ type Config struct {
 	Ctx context.Context
 	// SliceMerge selects the slice-level merge fast path: replicas are
 	// built with plan.StateSliceConfig.RawSliceResults, each slice's
-	// result stream crosses goroutines once, and the assembly-worker pool
-	// merges the slices and assembles the per-query answers with
-	// engine-style unions. Requires Windows and raw replicas; the
-	// coordinator (the public build layer) selects it for eligible plans
+	// result stream crosses goroutines once, and the assembler merges the
+	// slices and assembles the per-query answers with one shared union.
+	// Requires Windows and raw replicas; the coordinator (the public build
+	// layer) selects it for eligible plans
 	// (unfiltered, every window a slice boundary, not migratable).
 	SliceMerge bool
 	// Windows are the query windows, required by SliceMerge to derive
@@ -211,38 +196,6 @@ type Config struct {
 	// the policy only automates the trigger.
 	Rebalance *RebalancePolicy
 }
-
-// resolveWorkers returns the assembly-worker pool size for the given query
-// count, applying the automatic default documented on AssemblyWorkers.
-func (cfg Config) resolveWorkers(queries int) (int, error) {
-	w := cfg.AssemblyWorkers
-	if w < 0 {
-		return 0, fmt.Errorf("shard: AssemblyWorkers must be >= 1 (or 0 for the automatic default), got %d", w)
-	}
-	if w == 0 {
-		if cfg.SliceMerge {
-			w = runtime.GOMAXPROCS(0) / 2
-			if w > 4 {
-				w = 4
-			}
-			if w < 1 {
-				w = 1
-			}
-		} else {
-			w = queries
-		}
-	}
-	if w > queries {
-		w = queries
-	}
-	return w, nil
-}
-
-// queryOwner maps a query index onto its owning assembly worker —
-// contiguous balanced blocks. Both merge topologies use this one function,
-// so their ownership layouts (and the documented OnResult concurrency
-// semantics) cannot drift apart.
-func queryOwner(qi, workers, queries int) int { return qi * workers / queries }
 
 // ValidateSliceMergeWindows checks a slice-merge configuration against the
 // chain's slice boundary layout: every query window must equal one of the
@@ -408,7 +361,6 @@ type Executor struct {
 	// rpart replaces the hash partitioner under band partitioning
 	// (Config.Band); nil otherwise.
 	rpart    *RangePartitioner
-	workers  int
 	replicas []*replica
 	// mon is the load monitor feeding adaptive rebalancing (nil for a
 	// single shard); driver-owned, updated inline on the feed path.
@@ -418,11 +370,10 @@ type Executor struct {
 	// first snapshot can rebuild from scratch.
 	sup     *rec.Supervisor
 	buildFn func(shard int) (*plan.StateSlicePlan, error)
-	// Query-level merge path (nil under SliceMerge): per-query mergers
-	// distributed over the merge workers.
+	// Query-level merge path (nil under SliceMerge): per-query mergers,
+	// merger qi owned by merge worker qi % len(mergeWorkers).
 	mergers      []*merger
 	mergeWorkers []*mergeWorker
-	queryWorker  []int // query -> owning merge worker
 	// Slice-level merge path (nil otherwise).
 	asm   *assembler
 	feedB []stream.Batcher // per-shard feed batchers, driver-owned
@@ -600,28 +551,20 @@ func New(cfg Config, build func(shard int) (*plan.StateSlicePlan, error)) (*Exec
 			return nil, err
 		}
 	}
-	workers, err := cfg.resolveWorkers(queries)
-	if err != nil {
-		return nil, err
-	}
-	e.workers = workers
 
 	// Sized past the slabs that can be in flight at once (every merge
-	// channel, every batcher, and the fast path's cross-worker forward
-	// edges), so recycling rarely misses.
-	e.free = make(chan []stream.Item, (chanBuf+2)*queries+4*chanBuf*workers)
+	// channel and every batcher), so recycling rarely misses.
+	e.free = make(chan []stream.Item, (chanBuf+2)*queries+4*chanBuf)
 
 	if cfg.SliceMerge {
-		e.asm = newAssembler(cfg.Shards, workers, e.replicas[0].sp.Ends(), cfg.Windows, e.free, cfg, e.noteErr)
+		e.asm = newAssembler(cfg.Shards, e.replicas[0].sp.Ends(), cfg.Windows, e.free, cfg, e.noteErr)
 	} else {
-		e.queryWorker = make([]int, 0, queries)
-		e.mergeWorkers = make([]*mergeWorker, workers)
-		for w := range e.mergeWorkers {
-			e.mergeWorkers[w] = &mergeWorker{in: make(chan taggedBatch, chanBuf)}
-		}
-		for qi := 0; qi < queries; qi++ {
-			w := queryOwner(qi, workers, queries)
-			e.registerMerger(e.newMerger(qi, fmt.Sprintf("Q%d", qi+1)), w)
+		// One merge worker per founding query, so every query's merger
+		// runs concurrently; admitted queries share them round-robin.
+		e.mergeWorkers = make([]*mergeWorker, queries)
+		for qi := range e.mergeWorkers {
+			e.mergeWorkers[qi] = &mergeWorker{in: make(chan taggedBatch, chanBuf)}
+			e.registerMerger(e.newMerger(qi, fmt.Sprintf("Q%d", qi+1)), e.mergeWorkers[qi])
 		}
 	}
 
@@ -634,7 +577,7 @@ func New(cfg Config, build func(shard int) (*plan.StateSlicePlan, error)) (*Exec
 	// Finish still flushes the merge.
 	//
 	// On the slice-merge path the taps sit on the raw slice result ports
-	// and route each slice to the assembly worker owning its merge; on
+	// and route every slice to the assembler; on
 	// the query-level path, union-terminated queries hand their output
 	// port to the tap outright (the replica's relay sink hop disappears;
 	// migrations rewire union inputs, never the output), while
@@ -649,14 +592,14 @@ func New(cfg Config, build func(shard int) (*plan.StateSlicePlan, error)) (*Exec
 	for _, r := range e.replicas {
 		if cfg.SliceMerge {
 			for si, j := range r.sp.Slices() {
-				o := &outEdge{b: new(stream.Batcher), slice: si, asmIn: e.asm.workers[e.asm.sliceOwner[si]].in}
+				o := &outEdge{b: new(stream.Batcher), slice: si, asmIn: e.asm.in}
 				r.out = append(r.out, o)
 				e.attachSliceTap(r, j, o)
 			}
 			continue
 		}
 		for qi, sink := range r.sp.Plan.Sinks {
-			r.out = append(r.out, e.tapQuery(r, r.sp.QueryUnion(qi), sink, e.mergers[qi], e.mergeWorkers[e.queryWorker[qi]]))
+			r.out = append(r.out, e.tapQuery(r, r.sp.QueryUnion(qi), sink, e.mergers[qi], e.mergeWorkers[qi]))
 		}
 	}
 
@@ -808,13 +751,12 @@ func (e *Executor) newMerger(qi int, name string) *merger {
 	return m
 }
 
-// registerMerger records a merger in the driver-owned registries and hands
-// it to worker w. Driver-only (New and Attach); the worker goroutine reads
+// registerMerger records a merger in the driver-owned registry and hands
+// it to worker mw. Driver-only (New and Attach); the worker goroutine reads
 // its merger list only after its channel closes.
-func (e *Executor) registerMerger(m *merger, w int) {
+func (e *Executor) registerMerger(m *merger, mw *mergeWorker) {
 	e.mergers = append(e.mergers, m)
-	e.queryWorker = append(e.queryWorker, w)
-	e.mergeWorkers[w].mergers = append(e.mergeWorkers[w].mergers, m)
+	mw.mergers = append(mw.mergers, m)
 }
 
 // Shards returns the replica count.
@@ -826,9 +768,6 @@ func (e *Executor) Shards() int { return e.cfg.Shards }
 // uniform keys) under band partitioning. The bench harness records it so
 // feed-volume inflation is visible next to the probe-comparison savings.
 func (e *Executor) ReplicatedFeeds() int { return e.repFed }
-
-// Workers returns the resolved assembly-worker pool size.
-func (e *Executor) Workers() int { return e.workers }
 
 // noteErr publishes the first replica failure so the driver observes it on
 // the next Feed, Consume, Migrate or Finish call instead of the run
@@ -1027,7 +966,7 @@ func (e *Executor) applyAttach(r *replica, c *attachCmd) error {
 }
 
 // flushResults ships every non-empty output slab to the merge layer
-// (the merge workers, or the assembly workers on the fast path). Empty
+// (the merge workers, or the assembler on the fast path). Empty
 // batchers are skipped before drawing a spare from the free list —
 // TakeWith discards the spare when there is nothing to seal, which would
 // bleed a recycled slab per idle output per flush.
@@ -1422,11 +1361,11 @@ func (e *Executor) Attach(q plan.Query) (int, []stream.Time, error) {
 		name = fmt.Sprintf("Q%d", qi+1)
 	}
 	m := e.newMerger(qi, name)
-	w := qi % e.workers
-	if err := e.barrier(ctl{attach: &attachCmd{q: q, qi: qi, m: m, mw: e.mergeWorkers[w]}}); err != nil {
+	mw := e.mergeWorkers[qi%len(e.mergeWorkers)]
+	if err := e.barrier(ctl{attach: &attachCmd{q: q, qi: qi, m: m, mw: mw}}); err != nil {
 		return 0, nil, err
 	}
-	e.registerMerger(m, w)
+	e.registerMerger(m, mw)
 	return qi, e.replicas[0].sp.Ends(), nil
 }
 

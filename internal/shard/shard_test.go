@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"stateslice/internal/engine"
@@ -44,16 +43,31 @@ func testInput(t testing.TB, seed int64, keyDomain int64) []*stream.Tuple {
 	return input
 }
 
-// renderResults serializes one query's result sequence byte-exactly:
-// timestamp, sequence number and both source tuples of every result, in
-// delivery order.
-func renderResults(results []*stream.Tuple) string {
-	var b strings.Builder
-	for _, t := range results {
-		fmt.Fprintf(&b, "%d/%d:(%d.%d,%d.%d);", t.Time, t.Seq,
-			t.A.Stream, t.A.Ord, t.B.Stream, t.B.Ord)
+// sameResult compares the identity of two joined results: the probing
+// tuple's (Time, Seq) and both sources.
+func sameResult(a, b *stream.Tuple) bool {
+	return a.Time == b.Time && a.Seq == b.Seq &&
+		a.A.Stream == b.A.Stream && a.A.Ord == b.A.Ord &&
+		a.B.Stream == b.B.Stream && a.B.Ord == b.B.Ord
+}
+
+// renderResult formats one joined result for failure messages.
+func renderResult(t *stream.Tuple) string {
+	return fmt.Sprintf("%d/%d:(%d.%d,%d.%d)", t.Time, t.Seq, t.A.Stream, t.A.Ord, t.B.Stream, t.B.Ord)
+}
+
+// diffResults returns "" when two result sequences are identical, and
+// otherwise describes their first difference.
+func diffResults(got, want []*stream.Tuple) string {
+	for i := range min(len(got), len(want)) {
+		if !sameResult(got[i], want[i]) {
+			return fmt.Sprintf("result %d is %s, want %s", i, renderResult(got[i]), renderResult(want[i]))
+		}
 	}
-	return b.String()
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d results, want %d", len(got), len(want))
+	}
+	return ""
 }
 
 // factory returns a replica builder over a fixed workload and chain config.
@@ -130,8 +144,8 @@ func assertByteIdentical(t *testing.T, label string, got, want *engine.Result) {
 				label, qi, got.SinkCounts[qi], want.SinkCounts[qi])
 			continue
 		}
-		if g, r := renderResults(got.Results[qi]), renderResults(want.Results[qi]); g != r {
-			t.Errorf("%s: query %d result sequence differs from the sequential engine", label, qi)
+		if d := diffResults(got.Results[qi], want.Results[qi]); d != "" {
+			t.Errorf("%s: query %d result sequence differs from the sequential engine: %s", label, qi, d)
 		}
 	}
 }

@@ -52,8 +52,6 @@ func TestWithShardsValidation(t *testing.T) {
 		{"non-equijoin predicate", exampleWorkload(), stateslice.MemOpt, []stateslice.Option{stateslice.WithShards(2)}},
 		{"non-chain strategy", eq, stateslice.PullUp, []stateslice.Option{stateslice.WithShards(2)}},
 		{"with hash probing", eq, stateslice.MemOpt, []stateslice.Option{stateslice.WithShards(2), stateslice.WithHashProbing()}},
-		{"zero assembly workers", eq, stateslice.MemOpt, []stateslice.Option{stateslice.WithShards(2), stateslice.WithAssemblyWorkers(0)}},
-		{"assembly workers without shards", eq, stateslice.MemOpt, []stateslice.Option{stateslice.WithAssemblyWorkers(2)}},
 	} {
 		if _, err := stateslice.Build(tc.w, tc.s, tc.opts...); err == nil {
 			t.Errorf("%s: Build must fail", tc.name)
@@ -66,7 +64,7 @@ func TestWithShardsValidation(t *testing.T) {
 		{stateslice.WithShards(4), stateslice.WithBatchSize(8)},
 		{stateslice.WithShards(4), stateslice.WithMigratable()},
 		{stateslice.WithShards(2), stateslice.WithEnds(8 * stateslice.Second)},
-		{stateslice.WithShards(2), stateslice.WithAssemblyWorkers(3)},
+		{stateslice.WithShards(2)},
 	} {
 		if _, err := stateslice.Build(eq, stateslice.MemOpt, opts...); err != nil {
 			t.Errorf("compatible options rejected: %v", err)
@@ -165,25 +163,19 @@ func TestWithShardsFastPath(t *testing.T) {
 	}
 	want := renderResults(refRes.Results)
 	for _, p := range []int{1, 3, 8} {
-		for _, workers := range []int{0, 1, 2, 3} {
-			opts := []stateslice.Option{stateslice.WithCollect(), stateslice.WithShards(p)}
-			if workers != 0 {
-				opts = append(opts, stateslice.WithAssemblyWorkers(workers))
-			}
-			sp, err := stateslice.Build(w, stateslice.MemOpt, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := sp.Run(stateslice.SliceSource(input), stateslice.RunConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.OrderViolations != 0 {
-				t.Errorf("p=%d w=%d: %d order violations", p, workers, res.OrderViolations)
-			}
-			if got := renderResults(res.Results); got != want {
-				t.Errorf("p=%d w=%d: fast-path sharded results differ from the sequential engine", p, workers)
-			}
+		sp, err := stateslice.Build(w, stateslice.MemOpt, stateslice.WithCollect(), stateslice.WithShards(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sp.Run(stateslice.SliceSource(input), stateslice.RunConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.OrderViolations != 0 {
+			t.Errorf("p=%d: %d order violations", p, res.OrderViolations)
+		}
+		if got := renderResults(res.Results); got != want {
+			t.Errorf("p=%d: fast-path sharded results differ from the sequential engine", p)
 		}
 	}
 }
@@ -470,13 +462,15 @@ func TestWithShardsExplain(t *testing.T) {
 	if s := p.Explain(); strings.Contains(s, "hash(Key)") {
 		t.Errorf("Explain still claims a plain key hash:\n%s", s)
 	}
-	wp, err := stateslice.Build(equijoinWorkload(), stateslice.MemOpt,
-		stateslice.WithShards(4), stateslice.WithAssemblyWorkers(2))
+	// An unfiltered chain takes the slice-merge path: one assembler.
+	unfiltered := equijoinWorkload()
+	unfiltered.Queries[1].Filter = nil
+	wp, err := stateslice.Build(unfiltered, stateslice.MemOpt, stateslice.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := wp.Explain(); !strings.Contains(s, "on 2 workers") {
-		t.Errorf("Explain missing the explicit worker count:\n%s", s)
+	if s := wp.Explain(); !strings.Contains(s, "on one assembly goroutine") {
+		t.Errorf("Explain missing the assembly goroutine:\n%s", s)
 	}
 	if _, err := p.EstimatedCost(); err != nil {
 		t.Errorf("EstimatedCost: %v", err)

@@ -86,7 +86,6 @@ func buildSharded(w Workload, s Strategy, o buildOptions, model CostModel, lg *o
 		cfg:        cfg,
 		model:      model,
 		shards:     o.shards,
-		workers:    o.assemblyWorkers,
 		batchSize:  o.batchSize,
 		band:       band,
 		migratable: o.migratable,
@@ -169,7 +168,6 @@ type shardedPlan struct {
 	cfg        plan.StateSliceConfig // replica configuration
 	model      CostModel
 	shards     int
-	workers    int // assembly workers (0 = auto)
 	batchSize  int
 	band       *shard.Band // nil = hash partitioning
 	migratable bool
@@ -231,16 +229,15 @@ func (p *shardedPlan) executor(cfg RunConfig) (*shard.Executor, error) {
 	}
 	w, rcfg := p.w, p.cfg
 	scfg := shard.Config{
-		Shards:          p.shards,
-		AssemblyWorkers: p.workers,
-		BatchSize:       cfg.BatchSize,
-		SampleEvery:     cfg.SampleEvery,
-		Band:            p.band,
-		Collect:         p.collect,
-		OnResult:        onResult,
-		Ctx:             ctx,
-		SliceMerge:      rcfg.RawSliceResults,
-		Name:            p.name,
+		Shards:      p.shards,
+		BatchSize:   cfg.BatchSize,
+		SampleEvery: cfg.SampleEvery,
+		Band:        p.band,
+		Collect:     p.collect,
+		OnResult:    onResult,
+		Ctx:         ctx,
+		SliceMerge:  rcfg.RawSliceResults,
+		Name:        p.name,
 	}
 	if scfg.SliceMerge {
 		scfg.Windows = queryWindows(w)
@@ -347,11 +344,11 @@ func (p *shardedPlan) Explain() string {
 			p.band.MinKey, p.band.MaxKey, p.shards, p.band.Width)
 	}
 	if p.cfg.RawSliceResults {
-		fmt.Fprintf(&b, "  executor: %s -> %d chain replicas (one engine goroutine each) -> %d per-slice merges + per-query assembly on %s workers\n",
-			part, p.shards, len(p.ends), workersLabel(p.workers))
+		fmt.Fprintf(&b, "  executor: %s -> %d chain replicas (one engine goroutine each) -> %d per-slice merges + one shared union with a prefix output per query, on one assembly goroutine\n",
+			part, p.shards, len(p.ends))
 	} else {
-		fmt.Fprintf(&b, "  executor: %s -> %d chain replicas (one engine goroutine each) -> %d order-preserving per-query mergers on %s workers\n",
-			part, p.shards, len(p.slots), workersLabel(p.workers))
+		fmt.Fprintf(&b, "  executor: %s -> %d chain replicas (one engine goroutine each) -> %d order-preserving per-query mergers on auto workers\n",
+			part, p.shards, len(p.slots))
 	}
 	if p.sess != nil {
 		// A live session carries the current (possibly rebalanced)
@@ -365,15 +362,6 @@ func (p *shardedPlan) Explain() string {
 	}
 	writeTrace(&b, p.trace)
 	return b.String()
-}
-
-// workersLabel renders the assembly-worker setting for Explain output; the
-// automatic default resolves against GOMAXPROCS when the executor starts.
-func workersLabel(n int) string {
-	if n == 0 {
-		return "auto"
-	}
-	return fmt.Sprintf("%d", n)
 }
 
 // shardSession adapts the shard executor to the Session interface. Errors

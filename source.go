@@ -61,9 +61,11 @@ func IsTerminal(err error) bool { return stream.IsTerminal(err) }
 
 // Sink receives one query's result tuples as they are produced, in that
 // query's delivery order. Register sinks at build time with WithSink. For
-// sequential plans the callback runs on the goroutine driving the session;
-// under WithShards it runs on the assembly worker owning the query, so sinks
-// of different queries may fire concurrently.
+// sequential plans the callback runs on the goroutine driving the session.
+// Under WithShards an unfiltered fixed chain runs every sink on its one
+// assembly goroutine; any other sharded plan runs each query's sink on that
+// query's merge goroutine, so sinks of different queries may fire
+// concurrently.
 type Sink interface {
 	Emit(t *Tuple)
 }

@@ -150,29 +150,27 @@ func (m CostModel) Validate() error {
 
 // buildOptions accumulates the functional options of Build.
 type buildOptions struct {
-	name            string
-	collect         bool
-	migratable      bool
-	disableLineage  bool
-	hashProbing     bool
-	shards          int
-	shardsSet       bool
-	autoShards      bool
-	assemblyWorkers int
-	assemblySet     bool
-	keyMin, keyMax  int64
-	keyRangeSet     bool
-	ends            []Time
-	model           CostModel
-	modelSet        bool
-	sinks           map[int]Sink
-	resultHandler   func(QueryID, *Tuple)
-	batchSize       int
-	ctx             context.Context
-	restore         *Checkpoint
-	recovery        *Restart
-	rebalance       *Rebalance
-	err             error
+	name           string
+	collect        bool
+	migratable     bool
+	disableLineage bool
+	hashProbing    bool
+	shards         int
+	shardsSet      bool
+	autoShards     bool
+	keyMin, keyMax int64
+	keyRangeSet    bool
+	ends           []Time
+	model          CostModel
+	modelSet       bool
+	sinks          map[int]Sink
+	resultHandler  func(QueryID, *Tuple)
+	batchSize      int
+	ctx            context.Context
+	restore        *Checkpoint
+	recovery       *Restart
+	rebalance      *Rebalance
+	err            error
 }
 
 // Option customizes a Build call. Options compose left to right; an invalid
@@ -252,8 +250,7 @@ func WithHashProbing() Option {
 // clustered or consecutive key values still distribute across shards;
 // per-key frequency skew is irreducible — a hot key's entire window state
 // lives on one shard and caps the achievable speedup (results stay
-// byte-identical; only the balance degrades). The cross-replica merge layer
-// runs on a pool of assembly workers, tunable with WithAssemblyWorkers.
+// byte-identical; only the balance degrades).
 //
 // WithShards requires a chain strategy (MemOpt or CPUOpt) and a join
 // predicate the partitioner can reason about: either key-partitionable (an
@@ -263,8 +260,8 @@ func WithHashProbing() Option {
 // boundary replication it selects). For any other predicate a pair of
 // matching tuples could be split across replicas and silently lost, so
 // Build reports an error. Sharded plans support sessions,
-// WithSink streaming (sink callbacks run on assembly-worker goroutines, so
-// sinks of queries owned by different workers may fire concurrently), and WithMigratable
+// WithSink streaming (sink callbacks run on merge-layer goroutines, so
+// sinks of different queries may fire concurrently; see Sink), and WithMigratable
 // migration, which fans out to every replica at the same stream position.
 // WithBatchSize composes: it tunes each replica's engine micro-batch.
 // WithShards(1) runs the full sharded machinery with one replica,
@@ -325,26 +322,6 @@ func WithKeyRange(min, max int64) Option {
 		}
 		o.keyMin, o.keyMax = min, max
 		o.keyRangeSet = true
-	}
-}
-
-// WithAssemblyWorkers sets how many goroutines a sharded plan's merge
-// layer runs (n >= 1, capped at the query count): the stage that
-// reassembles the global per-query output order from the replica streams.
-// Without the option the executor picks automatically — on the query-level
-// merge path one worker per query, so every query's merger runs
-// concurrently; on the slice-merge fast path roughly half of GOMAXPROCS
-// (the replicas need the other half), at most 4. Results are byte-identical
-// at every worker count; the knob only moves where the reassembly work
-// runs, trading cross-goroutine traffic against assembly parallelism on
-// multi-core hosts. Valid only together with WithShards.
-func WithAssemblyWorkers(n int) Option {
-	return func(o *buildOptions) {
-		if n < 1 && o.err == nil {
-			o.err = fmt.Errorf("stateslice: WithAssemblyWorkers needs at least 1 worker, got %d (omit the option for the automatic default)", n)
-		}
-		o.assemblyWorkers = n
-		o.assemblySet = true
 	}
 }
 
@@ -486,9 +463,10 @@ func WithSink(query int, s Sink) Option {
 // which is what makes it fit a churning subscriber set: queries that do not
 // exist yet at Build time still stream through it. It composes with WithSink
 // (the handler fires first, then the query's sink, on the same goroutine —
-// the session driver for sequential plans, an assembly worker for sharded
-// ones; under WithShards different queries' callbacks run on different
-// workers and may fire concurrently, so guard any state they share).
+// the session driver for sequential plans, a merge-layer goroutine for
+// sharded ones; under WithShards different queries' callbacks may run on
+// different goroutines and fire concurrently (see Sink), so guard any state
+// they share).
 func WithResultHandler(fn func(QueryID, *Tuple)) Option {
 	return func(o *buildOptions) {
 		if fn == nil && o.err == nil {
