@@ -4,7 +4,9 @@ package stateslice_test
 // 17/18/19 panel at test scale pins, per strategy, the CostMeter by kind plus
 // the mean sampled state size; the fanout chain (12 unfiltered equijoin
 // queries) pins the same sequentially and sharded at p ∈ {1, 2, 4} on both
-// merge topologies. The shape tests in internal/bench check orderings and the
+// merge topologies; the benchmark's filtered query set under CPU-Opt and
+// Mem-Opt and three small filtered or routed chains pin the selections and
+// routers on a chain's result path. The shape tests in internal/bench check orderings and the
 // benchmark bounds medians; neither notices a refactor that moves a count by
 // one, and these files do. Refresh with
 //
@@ -184,6 +186,77 @@ func fanoutCounts(t *testing.T) string {
 	return b.String()
 }
 
+// filteredCounts runs the benchmark's filtered query set (lineage marks,
+// gates, routers and mask filters on one chain) under CPU-Opt and Mem-Opt,
+// then three small chains: a query served by the first slice alone that
+// shares its selection with a multi-slice query, a selection on stream B,
+// and a router on the first slice.
+func filteredCounts(t *testing.T) string {
+	src, err := os.ReadFile(filepath.Join("benchmarks", "workloads", "filtered.sql"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := stateslice.ParseWorkload(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	input, err := stateslice.Generate(stateslice.GeneratorConfig{
+		RateA: 40, RateB: 40, Duration: 20 * stateslice.Second, KeyDomain: 40, Seed: goldenSeed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	model := stateslice.CostModel{RateA: 150, RateB: 150, JoinSelectivity: 0.025, Csys: stateslice.DefaultCsys, TupleKB: stateslice.DefaultTupleKB}
+	for _, s := range []stateslice.Strategy{stateslice.CPUOpt, stateslice.MemOpt} {
+		p, err := stateslice.Build(w, s, stateslice.WithCostParams(model))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Run(stateslice.SliceSource(input), stateslice.RunConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.OrderViolations != 0 {
+			t.Fatalf("filtered %s: %d order violations", s, res.OrderViolations)
+		}
+		b.WriteString(countLine(fmt.Sprintf("filtered %s slices=%d outputs=%d", s, len(p.Ends()), res.TotalOutputs()), res.Meter, res.Memory.Avg))
+	}
+
+	small := goldenInput(t, 40)
+	sel := stream.Threshold{S: 0.5}
+	for _, c := range []struct {
+		label string
+		w     plan.Workload
+		ends  []stream.Time
+	}{
+		{"same-predicate first-slice/multi-slice", plan.Workload{Join: stream.FractionMatch{S: 0.1}, Queries: []plan.Query{
+			{Window: 2 * stream.Second, Filter: sel},
+			{Window: 8 * stream.Second, Filter: sel},
+			{Window: 10 * stream.Second},
+		}}, nil},
+		{"B-side selection", plan.Workload{Join: stream.FractionMatch{S: 0.1}, Queries: []plan.Query{
+			{Window: 2 * stream.Second},
+			{Window: 5 * stream.Second, FilterB: sel},
+			{Window: 8 * stream.Second, Filter: stream.Threshold{S: 0.7}, FilterB: sel},
+		}}, nil},
+		{"router on slice 0", plan.Workload{Join: stream.FractionMatch{S: 0.1}, Queries: []plan.Query{
+			{Window: 1 * stream.Second},
+			{Window: 2 * stream.Second, Filter: sel},
+			{Window: 4 * stream.Second},
+			{Window: 6 * stream.Second, Filter: sel},
+		}}, []stream.Time{2 * stream.Second, 6 * stream.Second}},
+	} {
+		sp, err := plan.BuildStateSlice(c.w, plan.StateSliceConfig{Ends: c.ends})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, mem := goldenRun(t, sp.Plan, small, 1)
+		b.WriteString(countLine(fmt.Sprintf("%s slices=%d", c.label, len(sp.Slices())), m, mem))
+	}
+	return b.String()
+}
+
 func TestCountGoldens(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -191,6 +264,7 @@ func TestCountGoldens(t *testing.T) {
 	}{
 		{"counts-figures", figureCounts},
 		{"counts-fanout", fanoutCounts},
+		{"counts-filtered", filteredCounts},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := tc.gen(t)
