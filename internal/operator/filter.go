@@ -352,18 +352,26 @@ func (f *MaskFilter) Step(m *CostMeter, max int) int {
 			f.out.Push(it)
 			continue
 		}
-		pass := true
-		if f.checkA {
-			m.filter(1)
-			pass = it.Tuple.A.CondMask&bit != 0
-		}
-		if pass && f.checkB {
-			m.filter(1)
-			pass = it.Tuple.B.CondMask&bit != 0
-		}
-		if pass {
+		if maskPass(m, it.Tuple, bit, f.checkA, f.checkB) {
 			f.out.Push(it)
 		}
 	}
 	return n
+}
+
+// maskPass reports whether the joined result's source tuples carry the
+// condition bit on the checked sides, charging one filter comparison per side
+// tested (B is not tested once A fails). The MaskFilter and a union's
+// per-output mask test both call it.
+func maskPass(m *CostMeter, t *stream.Tuple, bit uint64, checkA, checkB bool) bool {
+	pass := true
+	if checkA {
+		m.filter(1)
+		pass = t.A.CondMask&bit != 0
+	}
+	if pass && checkB {
+		m.filter(1)
+		pass = t.B.CondMask&bit != 0
+	}
+	return pass
 }

@@ -89,27 +89,7 @@ func (r *Router) Step(m *CostMeter, max int) int {
 			r.all.Push(it)
 			continue
 		}
-		t := it.Tuple
-		d := t.WindowDiff()
-		// Find the first branch accepting d. Unless RequireLastCheck
-		// was set, the scan never tests the last boundary: results
-		// reaching the router satisfy it by construction (the join's
-		// own window equals the largest branch window).
-		first := -1
-		limit := len(r.windows)
-		if !r.testLast {
-			limit--
-		}
-		for k := 0; k < limit; k++ {
-			m.route(1)
-			if d <= r.windows[k] {
-				first = k
-				break
-			}
-		}
-		if first == -1 && !r.testLast {
-			first = len(r.windows) - 1 // implied last boundary
-		}
+		first := routeFirst(m, r.windows, r.testLast, it.Tuple.WindowDiff())
 		if first >= 0 {
 			for k := first; k < len(r.outs); k++ {
 				r.outs[k].Push(it)
@@ -118,4 +98,27 @@ func (r *Router) Step(m *CostMeter, max int) int {
 		r.all.Push(it)
 	}
 	return n
+}
+
+// routeFirst returns the index of the first branch window accepting the
+// timestamp distance d, or -1 when none does, charging one route comparison
+// per boundary examined. Unless testLast is set, the scan never tests the
+// last boundary: results reaching a router satisfy it by construction (the
+// join's own window equals the largest branch window). The Router and a
+// union's per-output router test both call it.
+func routeFirst(m *CostMeter, windows []stream.Time, testLast bool, d stream.Time) int {
+	limit := len(windows)
+	if !testLast {
+		limit--
+	}
+	for k := 0; k < limit; k++ {
+		m.route(1)
+		if d <= windows[k] {
+			return k
+		}
+	}
+	if testLast {
+		return -1
+	}
+	return len(windows) - 1 // implied last boundary
 }

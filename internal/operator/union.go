@@ -44,6 +44,9 @@ type Union struct {
 	// emitted tracks the last emitted punctuation so the union forwards
 	// monotone punctuations of its own.
 	lastPunct stream.Time
+	// sel is the per-output test state of a selecting union
+	// (union_select.go); nil for a plain one.
+	sel *unionSel
 }
 
 // NewUnion builds a union; inputs are registered with AddInput.
@@ -67,6 +70,9 @@ func (u *Union) AttachInput(q *stream.Queue) {
 	u.ins = append(u.ins, q)
 	u.frontiers = append(u.frontiers, -1)
 	u.readers = append(u.readers, r)
+	if u.sel != nil {
+		u.sel.ins = append(u.sel.ins, selInput{})
+	}
 }
 
 // CloseInput marks an input as finished: no further tuples will ever be
@@ -184,6 +190,9 @@ func (u *Union) Pending() bool {
 // other input's head, and equal keys still concatenate in input order — but
 // the per-emission rescans of all inputs are gone.
 func (u *Union) Step(m *CostMeter, max int) int {
+	if u.sel != nil {
+		return u.stepSelecting(m, max)
+	}
 	bud := budget(max)
 	n := 0
 	u.absorbPunctuations(m)

@@ -406,3 +406,340 @@ func TestUnionPrefixOutputs(t *testing.T) {
 		}
 	}
 }
+
+// selCase is a random selecting-union layout: per input a router (nil
+// windows: none) and mask groups, and per output its reads of an input
+// prefix.
+type selCase struct {
+	windows  [][]stream.Time
+	testLast []bool
+	groups   [][]MaskTest
+	outs     [][]Read
+}
+
+func randomSelCase(rng *rand.Rand) selCase {
+	k := 1 + rng.Intn(4)
+	c := selCase{windows: make([][]stream.Time, k), testLast: make([]bool, k), groups: make([][]MaskTest, k)}
+	for j := range k {
+		if rng.Intn(2) == 0 {
+			w := stream.Time(0)
+			for range 1 + rng.Intn(3) {
+				w += stream.Time(1 + rng.Intn(4))
+				c.windows[j] = append(c.windows[j], w)
+			}
+			c.testLast[j] = rng.Intn(2) == 0
+		}
+		for range rng.Intn(4) {
+			g := MaskTest{Query: rng.Intn(6), CheckA: rng.Intn(3) > 0, Branch: rng.Intn(len(c.windows[j])+1) - 1}
+			g.CheckB = !g.CheckA || rng.Intn(3) == 0
+			c.groups[j] = append(c.groups[j], g)
+		}
+	}
+	for range 1 + rng.Intn(5) {
+		reads := make([]Read, 1+rng.Intn(k))
+		for j := range reads {
+			r := Read{Branch: rng.Intn(len(c.windows[j])+1) - 1, Group: -1}
+			if n := len(c.groups[j]); n > 0 && rng.Intn(2) == 0 {
+				r.Group = rng.Intn(n)
+				r.Branch = c.groups[j][r.Group].Branch
+			}
+			reads[j] = r
+		}
+		c.outs = append(c.outs, reads)
+	}
+	return c
+}
+
+// selRig runs one layout twice: through a selecting union, and through the
+// per-query wiring it replaces — a Router, MaskFilters on the router's
+// branches, and a Union per output reading more than one input (an output
+// reading the first input alone reads its source port directly).
+type selRig struct {
+	feeds        []Port
+	sel          *Union
+	selOuts      []*stream.Queue
+	ref          []Operator // routers, then filters, then unions
+	refOuts      []*stream.Queue
+	selM, refM   CostMeter
+	selPuncts    [][]stream.Time
+	refPunctSeen []bool
+}
+
+func newSelRig(t *testing.T, c selCase, outs []int) *selRig {
+	t.Helper()
+	k := len(c.windows)
+	rg := &selRig{feeds: make([]Port, k), sel: NewUnion("sel")}
+	var routers, filters, unions []Operator
+	src := make([][]*Port, k) // src[j][b+1]: the port of branch b (-1: every result)
+	grp := make([][]*Port, k)
+	for j := range k {
+		q, err := rg.sel.AddSelectingInput(c.windows[j], c.testLast[j], c.groups[j])
+		if err != nil {
+			t.Fatal(err)
+		}
+		rg.feeds[j].Attach(q)
+		if c.windows[j] == nil {
+			src[j] = []*Port{&rg.feeds[j]}
+		} else {
+			r := NewRouter("router", rg.feeds[j].NewQueue())
+			if c.testLast[j] {
+				r.RequireLastCheck()
+			}
+			src[j] = []*Port{r.All()}
+			for _, w := range c.windows[j] {
+				p, err := r.AddBranch(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				src[j] = append(src[j], p)
+			}
+			routers = append(routers, r)
+		}
+		for _, g := range c.groups[j] {
+			f := NewMaskFilter2("mask", g.Query, g.CheckA, g.CheckB, src[j][g.Branch+1].NewQueue())
+			grp[j] = append(grp[j], f.Out())
+			filters = append(filters, f)
+		}
+	}
+	for _, o := range outs {
+		reads := c.outs[o]
+		p, err := rg.sel.AddSelectingOutput(reads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rg.selOuts = append(rg.selOuts, p.NewQueue())
+		port := func(j int) *Port {
+			if g := reads[j].Group; g >= 0 {
+				return grp[j][g]
+			}
+			return src[j][reads[j].Branch+1]
+		}
+		if len(reads) == 1 {
+			rg.refOuts = append(rg.refOuts, port(0).NewQueue())
+			continue
+		}
+		u := NewUnion("union")
+		for j := range reads {
+			port(j).Attach(u.AddInput())
+		}
+		rg.refOuts = append(rg.refOuts, u.Out().NewQueue())
+		unions = append(unions, u)
+	}
+	rg.ref = append(append(routers, filters...), unions...)
+	return rg
+}
+
+func (rg *selRig) push(j int, it stream.Item) { rg.feeds[j].Push(it) }
+
+func (rg *selRig) step() {
+	rg.sel.Step(&rg.selM, -1)
+	for _, op := range rg.ref {
+		op.Step(&rg.refM, -1)
+	}
+}
+
+// selResult builds a joined result of key (ts, seq) whose sources are dist
+// apart and carry the given condition masks.
+func selResult(ts stream.Time, seq uint64, dist stream.Time, maskA, maskB uint64) *stream.Tuple {
+	a := &stream.Tuple{Time: ts - dist, Seq: seq - 1, Stream: stream.StreamA, CondMask: maskA}
+	b := &stream.Tuple{Time: ts, Seq: seq, Stream: stream.StreamB, CondMask: maskB}
+	return stream.Joined(a, b)
+}
+
+// feedRandom drives the rig with rounds of results: one probing key per
+// round, punctuated on every input, when oneKey is set (the chain at batch
+// size 1); several keys, each input punctuating only some, otherwise.
+func (rg *selRig) feedRandom(rng *rand.Rand, oneKey bool) {
+	ts, seq := stream.Time(20), uint64(2)
+	for round := 0; round < 40; round++ {
+		keys := 1
+		if !oneKey {
+			keys = 1 + rng.Intn(4)
+		}
+		for range keys {
+			ts += stream.Time(rng.Intn(3))
+			seq += 2
+			for j := range rg.feeds {
+				for range rng.Intn(4) {
+					rg.push(j, stream.TupleItem(selResult(ts, seq, stream.Time(rng.Intn(14)), uint64(rng.Intn(64)), uint64(rng.Intn(64)))))
+				}
+				if oneKey || rng.Intn(3) > 0 {
+					rg.push(j, stream.PunctItem(ts))
+				}
+			}
+		}
+		rg.step()
+	}
+	for j := range rg.feeds {
+		rg.push(j, stream.PunctItem(stream.MaxTime))
+	}
+	rg.step()
+}
+
+func TestSelectingUnionMatchesPerQueryWiring(t *testing.T) {
+	// A selecting union must deliver on every output exactly the tuples, in
+	// the same order, that its router, mask filters and per-query union
+	// deliver, and charge what they charge: every CostMeter field equal
+	// when each probing key is punctuated everywhere before the next (the
+	// chain at batch size 1), for all outputs together and for each output
+	// alone; with several keys in flight the one merge orders heads once
+	// for all outputs, so only Union may differ.
+	rng := rand.New(rand.NewSource(46))
+	for trial := 0; trial < 300; trial++ {
+		c := randomSelCase(rng)
+		oneKey := trial%2 == 0
+		seed := rng.Int63()
+		all := make([]int, len(c.outs))
+		for o := range all {
+			all[o] = o
+		}
+		sets := [][]int{all}
+		if oneKey {
+			for o := range all {
+				sets = append(sets, []int{o})
+			}
+		}
+		for _, outs := range sets {
+			rg := newSelRig(t, c, outs)
+			rg.feedRandom(rand.New(rand.NewSource(seed)), oneKey)
+			for o := range outs {
+				got, want := drainPort(rg.selOuts[o]), drainPort(rg.refOuts[o])
+				if !slices.Equal(got, want) {
+					t.Fatalf("trial %d outputs %v: output %d delivered %d tuples, per-query wiring %d (layout %+v)", trial, outs, outs[o], len(got), len(want), c)
+				}
+			}
+			sm, rm := rg.selM, rg.refM
+			if !oneKey {
+				sm.Union, rm.Union = 0, 0
+			}
+			if sm != rm {
+				t.Fatalf("trial %d outputs %v: selecting union charged %v, per-query wiring %v (layout %+v)", trial, outs, &rg.selM, &rg.refM, c)
+			}
+		}
+	}
+}
+
+func TestSelectingUnionDropsRejectedHeads(t *testing.T) {
+	// A head no output accepts is dropped when it is tested, before the
+	// merge: it is never compared with another input's head and never
+	// stands between that input's items and the outputs.
+	u := NewUnion("u")
+	in0, err := u.AddSelectingInput(nil, false, []MaskTest{{Query: 0, CheckA: true, Branch: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in1, err := u.AddSelectingInput(nil, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := u.AddSelectingOutput([]Read{{Branch: -1, Group: 0}, {Branch: -1, Group: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := p.NewQueue()
+	rejected := selResult(4, 10, 1, 0, 0) // fails the mask
+	in0.PushTuple(rejected)
+	in1.PushTuple(selResult(3, 8, 1, 0, 0))
+	in1.PushTuple(selResult(6, 12, 1, 0, 0))
+	in0.PushPunct(9)
+	in1.PushPunct(9)
+	m := &CostMeter{}
+	u.Step(m, -1)
+	got := drainTrace(out)
+	if len(got.tuples) != 2 || got.tuples[0].Time != 3 || got.tuples[1].Time != 6 || got.last != 9 {
+		t.Fatalf("emitted %v up to %d, want the two accepted tuples up to 9", got.tuples, got.last)
+	}
+	// Two punctuations, one reader each; the rejected head cost its mask
+	// test and nothing in the merge.
+	if m.Union != 2 || m.Filter != 1 || m.Invocations != 2+1+1 {
+		t.Errorf("charged %v, want union=2 filter=1 invocations=4", m)
+	}
+}
+
+// floorRig is a selecting union over an ungated and a gated input whose
+// floor is whatever the test sets.
+func floorRig(t *testing.T) (u *Union, ungated, gated *stream.Queue, first, both *stream.Queue, floor *stream.Time) {
+	t.Helper()
+	u = NewUnion("u")
+	var err error
+	if ungated, err = u.AddSelectingInput(nil, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	if gated, err = u.AddSelectingInput(nil, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	p1, err := u.AddSelectingOutput([]Read{{-1, -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := u.AddSelectingOutput([]Read{{-1, -1}, {-1, -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := stream.Time(-1)
+	u.SetFloor(func() stream.Time { return f })
+	return u, ungated, gated, p1.NewQueue(), p2.NewQueue(), &f
+}
+
+func TestSelectingUnionFloorReleasesQuiescentChain(t *testing.T) {
+	// The gated input never punctuated 10 (its gate dropped the probing
+	// tuple); once the chain reports quiescence at 10 the ungated input's
+	// results go out, with the floor as the outputs' frontier, and nothing
+	// is charged for it.
+	u, ungated, _, first, both, floor := floorRig(t)
+	ungated.PushTuple(selResult(10, 6, 1, 0, 0))
+	ungated.PushPunct(10)
+	*floor = 10
+	m := &CostMeter{}
+	u.Step(m, -1)
+	for i, out := range []*stream.Queue{first, both} {
+		got := drainTrace(out)
+		if len(got.tuples) != 1 || got.last != 10 {
+			t.Errorf("output %d: %d tuples, frontier %d; want the result and frontier 10", i, len(got.tuples), got.last)
+		}
+	}
+	if m.Union != 1 || m.Invocations != 1 {
+		t.Errorf("charged %v, want one punctuation for the two-input output and one emission to it", m)
+	}
+}
+
+func TestSelectingUnionFloorHeldWhileChainBusy(t *testing.T) {
+	// While an item is still inside the chain the floor is -1: the merge
+	// waits for the gated input exactly as a plain union would.
+	u, ungated, gated, first, both, floor := floorRig(t)
+	ungated.PushTuple(selResult(10, 6, 1, 0, 0))
+	ungated.PushPunct(10)
+	u.Step(nil, -1)
+	if first.Len()+both.Len() != 0 {
+		t.Fatal("the merge must hold the result while the chain is busy")
+	}
+	// The gated slice answers; the floor stays unset.
+	gated.PushPunct(10)
+	u.Step(nil, -1)
+	if n := drainPort(both); len(n) != 1 {
+		t.Fatalf("the gated input's punctuation releases the result, got %d", len(n))
+	}
+	*floor = 5 // a stale floor never lowers a frontier
+	u.Step(nil, -1)
+	if lastPunctOf(first) != 10 {
+		t.Error("the frontier must stay at 10")
+	}
+}
+
+// punctTrace is a drained output: its tuples and last punctuation.
+type punctTrace struct {
+	tuples []*stream.Tuple
+	last   stream.Time
+}
+
+func drainTrace(q *stream.Queue) punctTrace {
+	tr := punctTrace{last: -1}
+	q.Drain(func(it stream.Item) {
+		if it.IsPunct() {
+			tr.last = it.Punct
+			return
+		}
+		tr.tuples = append(tr.tuples, it.Tuple)
+	})
+	return tr
+}

@@ -96,6 +96,11 @@ func TestSharedUnionMatchesPerQueryUnions(t *testing.T) {
 		{"extra-boundary", unfilteredWorkload(2*stream.Second, 5*stream.Second, 9*stream.Second),
 			[]stream.Time{2 * stream.Second, 4 * stream.Second, 5 * stream.Second, 9 * stream.Second}, batchInput(t, 4)},
 		{"equijoin", equi, nil, equiInput},
+		// Filtered and routed chains: the shared union runs the routers
+		// and mask filters as per-output tests.
+		{"filtered", selectionWorkload(), nil, equiInput},
+		{"filtered-routed", selectionWorkload(), []stream.Time{2 * stream.Second, 6 * stream.Second, 9 * stream.Second}, equiInput},
+		{"routed", equi, []stream.Time{2 * stream.Second, 8 * stream.Second}, equiInput},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, k := range []int{1, 7, 64, -1} {
@@ -108,8 +113,11 @@ func TestSharedUnionMatchesPerQueryUnions(t *testing.T) {
 					if d := diffResults(shared.res.Results[qi], ref.res.Results[qi]); d != "" {
 						t.Errorf("K=%d query %d: %s", k, qi, d)
 					}
-					if q.Window <= tc.w.Queries[0].Window {
-						continue // served by the first slice alone
+					if q.Window <= tc.w.Queries[0].Window || tc.w.AnyFilter() {
+						// Served by the first slice alone, or reading a
+						// merge whose frontier a quiescent chain raises
+						// past the gated slices' punctuations.
+						continue
 					}
 					if len(ref.puncts[qi]) == 0 {
 						t.Fatalf("K=%d query %d: the reference sink saw no punctuation", k, qi)
@@ -134,4 +142,65 @@ func TestSharedUnionMatchesPerQueryUnions(t *testing.T) {
 			}
 		})
 	}
+}
+
+// selectionWorkload is an equijoin chain with nested selections on A, one on
+// B, a first-slice query sharing its predicate with a multi-slice one, and
+// unfiltered queries between them.
+func selectionWorkload() Workload {
+	sel := stream.Threshold{S: 0.5}
+	return Workload{Join: stream.Equijoin{}, Queries: []Query{
+		{Window: 1 * stream.Second, Filter: sel},
+		{Window: 2 * stream.Second},
+		{Window: 3 * stream.Second, Filter: sel},
+		{Window: 5 * stream.Second, Filter: stream.Threshold{S: 0.3}, FilterB: sel},
+		{Window: 6 * stream.Second},
+		{Window: 9 * stream.Second, Filter: stream.Threshold{S: 0.2}},
+	}}
+}
+
+func TestQuiescentFloorReleasesGatedChain(t *testing.T) {
+	// Q2's gate drops an A tuple that fails its selection, so the second
+	// slice never punctuates that tuple's time. Q1's match must still
+	// reach its sink within the same Feed: the chain is quiescent, and the
+	// shared union's floor stands in for the missing punctuation.
+	w := figure10Workload()
+	w.Join = stream.Equijoin{}
+	sp, err := BuildStateSlice(w, StateSliceConfig{Collect: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := engine.NewSession(sp.Plan, engine.Config{BatchSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &stream.Tuple{Stream: stream.StreamB, Time: 1 * stream.Second, Seq: 1, Key: 7, Value: 0.9}
+	a := &stream.Tuple{Stream: stream.StreamA, Time: 1500 * stream.Millisecond, Seq: 2, Key: 7, Value: 0.1}
+	for _, tu := range []*stream.Tuple{b, a} {
+		if err := s.Feed(tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := sp.Sinks()[0].Count(); got != 1 {
+		t.Fatalf("Q1 holds %d results after the feed, want its one match delivered", got)
+	}
+	if got := sp.quiescentFloor(); got != a.Time {
+		t.Errorf("floor = %s at quiescence, want the last consumed time %s", got, a.Time)
+	}
+	// While any queue inside the chain holds an item the floor is unset:
+	// the gate's input, then the second slice's.
+	gate, second := sp.slices[1].gate, sp.slices[1].join
+	sp.slices[0].join.Next().PushPunct(a.Time)
+	if got := sp.quiescentFloor(); got != -1 {
+		t.Errorf("floor = %s with the gate's input busy, want -1", got)
+	}
+	gate.Step(nil, -1)
+	if got := sp.quiescentFloor(); got != -1 || second.In().Empty() {
+		t.Errorf("floor = %s with the second slice's input busy, want -1", got)
+	}
+	second.Step(nil, -1)
+	if got := sp.quiescentFloor(); got != a.Time {
+		t.Errorf("floor = %s once the chain drained again, want %s", got, a.Time)
+	}
+	s.Finish()
 }

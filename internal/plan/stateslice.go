@@ -3,7 +3,6 @@ package plan
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"stateslice/internal/engine"
 	"stateslice/internal/operator"
@@ -62,10 +61,15 @@ type StateSlicePlan struct {
 	chainIn  *operator.ChainInput
 	slices   []*sliceNode
 	unions   []*operator.Union // per query slot; nil when wired directly to the sink or read from shared
-	// shared is the one union of a fixed chain whose slice results are
-	// query-agnostic: input i is slice i, and every query served by more
-	// than one slice reads the prefix of slices up to its window. nil for
-	// migratable, filtered and routed chains, which keep per-query unions.
+	// shared is the one union of a fixed chain (not migratable, not raw,
+	// at least two slices, selections by lineage marks): input i is slice
+	// i's raw results, and every query reads the prefix of slices up to
+	// its window. On a chain with routers or selections each input runs
+	// its slice's router and mask-filter groups as per-output tests and
+	// every query reads a selecting output; without them it is a plain
+	// merge and a query the first slice serves alone reads that slice's
+	// port (wireShared). nil for migratable and WithoutLineage chains,
+	// which keep per-query unions.
 	shared *operator.Union
 	sinks  []*operator.Sink
 
@@ -186,17 +190,15 @@ func BuildStateSlice(w Workload, cfg StateSliceConfig) (*StateSlicePlan, error) 
 		start = end
 	}
 
-	// Per-query terminals: a union when several slices contribute (or
-	// always, for migratable plans), the result port itself otherwise.
-	// When every slice's results are query-agnostic and the chain is
-	// fixed (the RawSliceResults predicate), the queries share one union
-	// instead, each reading the prefix of slices its window spans; the
-	// query spanning every slice reads the union's main output (a
-	// one-slice chain needs no union at all). Sinks consume their source
-	// synchronously (no queue hop): a sink is a terminal with no
-	// downstream, so queueing its input only deferred identical work to
-	// another scheduling pass.
-	if !cfg.RawSliceResults && validateRawSliceResults(w, ends, cfg) == nil && len(ends) > 1 {
+	// Per-query terminals. A fixed chain (neither migratable nor raw, at
+	// least two slices, selections by lineage marks) merges its slice
+	// results once, through the shared union (wireShared). Otherwise a
+	// query gets a union when several slices contribute (or always, for
+	// migratable plans) and reads the result port itself when one does.
+	// Sinks consume their source synchronously (no queue hop): a sink is
+	// a terminal with no downstream, so queueing its input only deferred
+	// identical work to another scheduling pass.
+	if !cfg.RawSliceResults && !cfg.Migratable && len(ends) > 1 && !(w.AnyFilter() && cfg.DisableLineage) {
 		sp.shared = operator.NewUnion(name + ".union")
 	}
 	sp.unions = make([]*operator.Union, len(w.Queries))
@@ -204,27 +206,19 @@ func BuildStateSlice(w Workload, cfg StateSliceConfig) (*StateSlicePlan, error) 
 	sp.live = make([]bool, len(w.Queries))
 	for qi, q := range w.Queries {
 		sp.live[qi] = true
-		contributing := sp.sliceOf(q.Window) + 1
-		sink := sp.newQuerySink(qi)
-		switch {
-		case cfg.RawSliceResults || (!cfg.Migratable && contributing == 1):
-			// A single slice contributes and wireSliceResults attaches
-			// the sink to its (possibly filtered) result port.
-		case sp.shared != nil:
-			port := sp.shared.Out()
-			if contributing < len(ends) || port.Connected() {
-				port = sp.shared.AddOutput(contributing)
-			}
-			port.AttachFunc(sink.Accept)
-		default:
+		sp.sinks[qi] = sp.newQuerySink(qi)
+		if sp.shared == nil && !cfg.RawSliceResults && (cfg.Migratable || sp.sliceOf(q.Window) > 0) {
 			u := operator.NewUnion(w.QueryName(qi) + ".union")
 			sp.unions[qi] = u
-			u.Out().AttachFunc(sink.Accept)
+			u.Out().AttachFunc(sp.sinks[qi].Accept)
 		}
-		sp.sinks[qi] = sink
 	}
-
-	if !cfg.RawSliceResults {
+	switch {
+	case sp.shared != nil:
+		if err := sp.wireShared(); err != nil {
+			return nil, err
+		}
+	case !cfg.RawSliceResults:
 		for si := range sp.slices {
 			if err := sp.wireSliceResults(si); err != nil {
 				return nil, err
@@ -449,143 +443,244 @@ func (g chainedGate) Step(m *operator.CostMeter, max int) int {
 	return n
 }
 
-// wireSliceResults (re)builds the result path of slice si: router (when the
-// slice serves several distinct query windows), per-edge selection filters
-// grouped by predicate, and the connections into the per-query unions or
-// sinks. The slice's previous wiring must have been detached already. The
-// served set is computed per slot — live queries whose window exceeds the
-// slice start — not positionally, because admission appends slots out of
-// window order and detach leaves dead slots in place. A wiring failure
-// propagates as an error (Build and the restructuring operations all have
-// error returns) rather than crashing the process.
-func (sp *StateSlicePlan) wireSliceResults(si int) error {
-	node := sp.slices[si]
-	node.router = nil
-	node.filters = nil
-	node.edges = nil
-	start, end := node.join.Range()
-	served := sp.servedAt(start)
-	if sp.shared != nil {
-		// The slice's results enter the shared union once; only a query
-		// the first slice serves alone reads the port itself.
-		node.join.Result().Attach(sp.shared.AddInput())
-		if si == 0 {
-			for _, qi := range served {
-				if sp.w.Queries[qi].Window <= end {
-					node.join.Result().AttachFunc(sp.sinks[qi].Accept)
-				}
-			}
-		}
-		return nil
-	}
+// sliceResults is the result path of one slice: the router branches, the
+// selection groups and what each served query reads. wireSliceResults builds
+// it from operators; the shared union runs it as per-output tests.
+type sliceResults struct {
+	// windows are the router's branch windows, ascending; nil when the
+	// slice needs no router. testLast is the router's RequireLastCheck.
+	windows  []stream.Time
+	testLast bool
+	groups   []resultGroup
+	reads    []sliceRead // one per served query, in slot order
+}
 
-	// Partition the served queries: windows inside (start, end] need
-	// routing when more than one distinct window lands there; windows
-	// beyond end accept every result of this slice. Router branches must
-	// ascend, and served slots carry no window order, so the inside
-	// windows are sorted and deduplicated explicitly.
-	type target struct {
-		qi   int
-		port *operator.Port
-	}
-	var targets []target
-	insideW := []stream.Time{}
+// resultGroup is one selection filter after a slice, shared by the edges
+// with the same source and the same filter requirement, so the measured
+// filter cost matches the sigma'_A terms of Eq. (3).
+type resultGroup struct {
+	branch       int // router branch it reads; -1: every result
+	qi           int // the first query it serves: its mask bit and name
+	needA, needB bool
+}
+
+// sliceRead is what one served query reads of a slice's results.
+type sliceRead struct {
+	qi     int
+	branch int // router branch; -1: every result
+	group  int // selection group; -1: none
+}
+
+// sliceResults plans the result path of slice si. The served set is
+// computed per slot — live queries whose window exceeds the slice start —
+// not positionally, because admission appends slots out of window order and
+// detach leaves dead slots in place.
+func (sp *StateSlicePlan) sliceResults(si int) sliceResults {
+	start, end := sp.slices[si].join.Range()
+	served := sp.servedAt(start)
+
+	// Windows inside (start, end] need routing when more than one distinct
+	// window lands there; windows beyond end accept every result of this
+	// slice. Router branches must ascend, and served slots carry no window
+	// order, so the inside windows are sorted and deduplicated explicitly.
+	var inside []stream.Time
 	for _, qi := range served {
-		w := sp.w.Queries[qi].Window
-		if w <= end {
-			insideW = append(insideW, w)
+		if w := sp.w.Queries[qi].Window; w <= end {
+			inside = append(inside, w)
 		}
 	}
-	sort.Slice(insideW, func(a, b int) bool { return insideW[a] < insideW[b] })
-	insideW = dedupeTimes(insideW)
+	slices.Sort(inside)
+	inside = dedupeTimes(inside)
 	// Routing is needed when the slice serves several distinct windows,
 	// or when its end window exceeds every inside window (possible after
 	// an online split at a non-window boundary): results between the
 	// largest inside window and the slice end belong only to the queries
 	// beyond the slice.
-	needRouter := len(insideW) > 1 ||
-		(len(insideW) == 1 && insideW[0] != end)
-	if needRouter {
-		r := operator.NewRouter(node.join.Name()+".router", node.join.Result().NewQueue())
-		node.router = r
-		if insideW[len(insideW)-1] != end {
-			r.RequireLastCheck()
+	var r sliceResults
+	if len(inside) > 1 || (len(inside) == 1 && inside[0] != end) {
+		r.windows = inside
+		r.testLast = inside[len(inside)-1] != end
+	}
+
+	type groupKey struct {
+		branch int
+		pred   string
+	}
+	groups := make(map[groupKey]int)
+	for _, qi := range served {
+		q := sp.w.Queries[qi]
+		rd := sliceRead{qi: qi, branch: -1, group: -1}
+		if r.windows != nil && q.Window <= end {
+			rd.branch, _ = slices.BinarySearch(r.windows, q.Window)
 		}
-		ports := make(map[stream.Time]*operator.Port, len(insideW))
-		for _, w := range insideW {
-			port, err := r.AddBranch(w)
+		needA := q.HasFilter() && !sp.impliedAtSlice(start, qi, stream.StreamA)
+		needB := q.HasFilterB() && !sp.impliedAtSlice(start, qi, stream.StreamB)
+		if needA || needB {
+			key := groupKey{branch: rd.branch}
+			if needA {
+				key.pred = q.Filter.String()
+			}
+			if needB {
+				key.pred += "|" + q.FilterB.String()
+			}
+			g, ok := groups[key]
+			if !ok {
+				g = len(r.groups)
+				groups[key] = g
+				r.groups = append(r.groups, resultGroup{branch: rd.branch, qi: qi, needA: needA, needB: needB})
+			}
+			rd.group = g
+		}
+		r.reads = append(r.reads, rd)
+	}
+	return r
+}
+
+// wireSliceResults (re)builds the result path of slice si from operators:
+// a router (when the slice serves several distinct query windows), the
+// selection groups, and the connections into the per-query unions or sinks.
+// The slice's previous wiring must have been detached already. A wiring
+// failure propagates as an error (Build and the restructuring operations
+// all have error returns) rather than crashing the process.
+func (sp *StateSlicePlan) wireSliceResults(si int) error {
+	node := sp.slices[si]
+	node.router = nil
+	node.filters = nil
+	node.edges = nil
+	r := sp.sliceResults(si)
+
+	// branch returns the port serving router branch b (-1: every result).
+	branch := func(int) *operator.Port { return node.join.Result() }
+	if r.windows != nil {
+		rt := operator.NewRouter(node.join.Name()+".router", node.join.Result().NewQueue())
+		node.router = rt
+		if r.testLast {
+			rt.RequireLastCheck()
+		}
+		ports := make([]*operator.Port, len(r.windows))
+		for b, w := range r.windows {
+			port, err := rt.AddBranch(w)
 			if err != nil {
 				// Windows are deduplicated and ascending, so this
 				// indicates a plan builder bug — but it surfaces as a
 				// build/restructure error, not a process crash.
-				return fmt.Errorf("plan: %s: %w", r.Name(), err)
+				return fmt.Errorf("plan: %s: %w", rt.Name(), err)
 			}
-			ports[w] = port
+			ports[b] = port
 		}
-		for _, qi := range served {
-			w := sp.w.Queries[qi].Window
-			if w <= end {
-				targets = append(targets, target{qi, ports[w]})
-			} else {
-				targets = append(targets, target{qi, r.All()})
+		branch = func(b int) *operator.Port {
+			if b < 0 {
+				return rt.All()
 			}
-		}
-	} else {
-		for _, qi := range served {
-			targets = append(targets, target{qi, node.join.Result()})
+			return ports[b]
 		}
 	}
-
-	// Group edges sharing a source port and an identical filter
-	// requirement behind a single filter operator, so the measured filter
-	// cost matches the sigma'_A terms of Eq. (3).
-	type groupKey struct {
-		port *operator.Port
-		pred string
-	}
-	groups := make(map[groupKey]*operator.Port)
-	for _, tg := range targets {
-		q := sp.w.Queries[tg.qi]
-		out := tg.port
-		needA := q.HasFilter() && !sp.impliedAtSlice(start, tg.qi, stream.StreamA)
-		needB := q.HasFilterB() && !sp.impliedAtSlice(start, tg.qi, stream.StreamB)
-		if needA || needB {
-			keyStr := ""
-			if needA {
-				keyStr = q.Filter.String()
+	outs := make([]*operator.Port, len(r.groups))
+	for g, gr := range r.groups {
+		in := branch(gr.branch).NewQueue()
+		fname := fmt.Sprintf("%s.sigma'(%s)", node.join.Name(), sp.w.QueryName(gr.qi))
+		if sp.cfg.DisableLineage {
+			var pa, pb stream.Predicate
+			if gr.needA {
+				pa = sp.w.Queries[gr.qi].Filter
 			}
-			if needB {
-				keyStr += "|" + q.FilterB.String()
+			if gr.needB {
+				pb = sp.w.Queries[gr.qi].FilterB
 			}
-			key := groupKey{tg.port, keyStr}
-			if g, ok := groups[key]; ok {
-				out = g
-			} else {
-				fname := fmt.Sprintf("%s.sigma'(%s)", node.join.Name(), sp.w.QueryName(tg.qi))
-				var f operator.Operator
-				var fout *operator.Port
-				if sp.cfg.DisableLineage {
-					var pa, pb stream.Predicate
-					if needA {
-						pa = q.Filter
-					}
-					if needB {
-						pb = q.FilterB
-					}
-					rf := operator.NewResultFilter2(fname, pa, pb, tg.port.NewQueue())
-					f, fout = rf, rf.Out()
-				} else {
-					mf := operator.NewMaskFilter2(fname, tg.qi, needA, needB, tg.port.NewQueue())
-					f, fout = mf, mf.Out()
-				}
-				node.filters = append(node.filters, f)
-				groups[key] = fout
-				out = fout
-			}
+			f := operator.NewResultFilter2(fname, pa, pb, in)
+			node.filters = append(node.filters, f)
+			outs[g] = f.Out()
+		} else {
+			f := operator.NewMaskFilter2(fname, gr.qi, gr.needA, gr.needB, in)
+			node.filters = append(node.filters, f)
+			outs[g] = f.Out()
 		}
-		sp.connect(node, tg.qi, out)
+	}
+	for _, rd := range r.reads {
+		src := branch(rd.branch)
+		if rd.group >= 0 {
+			src = outs[rd.group]
+		}
+		sp.connect(node, rd.qi, src)
 	}
 	return nil
+}
+
+// wireShared feeds every slice's raw results into the shared union once,
+// input i being slice i, and gives each query an output reading the prefix
+// of slices up to its window. When no slice needs a router or a selection,
+// the union is a plain merge: the query spanning every slice reads Out, the
+// others read prefix outputs, and a query the first slice serves alone reads
+// that slice's port itself. Otherwise each input carries its slice's router
+// and selection groups as tests, and every query reads a selecting output
+// (one reading the first slice alone is charged nothing by the union, as
+// its per-query wiring had no union), with the chain's quiescence as the
+// union's frontier floor.
+func (sp *StateSlicePlan) wireShared() error {
+	res := make([]sliceResults, len(sp.slices))
+	plain := true
+	for si := range sp.slices {
+		res[si] = sp.sliceResults(si)
+		plain = plain && res[si].windows == nil && len(res[si].groups) == 0
+	}
+	if plain {
+		first := sp.slices[0].join.Result()
+		for qi, q := range sp.w.Queries {
+			k := sp.sliceOf(q.Window) + 1
+			port := sp.shared.Out()
+			switch {
+			case k == 1:
+				port = first
+			case k < len(sp.slices) || port.Connected():
+				port = sp.shared.AddOutput(k)
+			}
+			port.AttachFunc(sp.sinks[qi].Accept)
+		}
+		for _, n := range sp.slices {
+			n.join.Result().Attach(sp.shared.AddInput())
+		}
+		return nil
+	}
+	reads := make([][]operator.Read, len(sp.w.Queries))
+	for si, n := range sp.slices {
+		groups := make([]operator.MaskTest, len(res[si].groups))
+		for g, gr := range res[si].groups {
+			groups[g] = operator.MaskTest{Query: gr.qi, CheckA: gr.needA, CheckB: gr.needB, Branch: gr.branch}
+		}
+		in, err := sp.shared.AddSelectingInput(res[si].windows, res[si].testLast, groups)
+		if err != nil {
+			return fmt.Errorf("plan: %w", err)
+		}
+		n.join.Result().Attach(in)
+		for _, rd := range res[si].reads {
+			reads[rd.qi] = append(reads[rd.qi], operator.Read{Branch: rd.branch, Group: rd.group})
+		}
+	}
+	for qi := range sp.w.Queries {
+		port, err := sp.shared.AddSelectingOutput(reads[qi])
+		if err != nil {
+			return fmt.Errorf("plan: %w", err)
+		}
+		port.AttachFunc(sp.sinks[qi].Accept)
+	}
+	sp.shared.SetFloor(sp.quiescentFloor)
+	return nil
+}
+
+// quiescentFloor is the shared union's frontier floor: while no queue inside
+// the chain holds an item — no gate or slice input — every slice has
+// finished with every tuple the chain input consumed, so no slice will emit
+// a result older than the chain input's last consumed time. A lineage gate
+// drops tuples, and the slices behind it punctuate only for what it passes;
+// the floor stands in for the punctuations they did not send. -1 while any
+// chain queue is busy.
+func (sp *StateSlicePlan) quiescentFloor() stream.Time {
+	for _, n := range sp.slices {
+		if n.join.Pending() || (n.gate != nil && n.gate.Pending()) {
+			return -1
+		}
+	}
+	return sp.chainIn.Last()
 }
 
 // connect attaches one query terminal to a result source port.

@@ -35,6 +35,7 @@ func isUnion(op operator.Operator) bool       { _, ok := op.(*operator.Union); r
 func isSlicedJoin(op operator.Operator) bool  { _, ok := op.(*operator.SlicedBinaryJoin); return ok }
 func isWindowJoin(op operator.Operator) bool  { _, ok := op.(*operator.WindowJoin); return ok }
 func isLineageGate(op operator.Operator) bool { _, ok := op.(*operator.LineageFilter); return ok }
+func isMaskFilter(op operator.Operator) bool  { _, ok := op.(*operator.MaskFilter); return ok }
 
 func figure10Workload() Workload {
 	// Q1 unfiltered small window, Q2 filtered large window — Figure 10.
@@ -64,18 +65,81 @@ func TestFigure10Structure(t *testing.T) {
 	if got := countOps(ops, isLineageGate); got != 1 {
 		t.Errorf("gates = %d, want 1", got)
 	}
-	// Q1 is served by slice 1 alone: no union (Figure 10 wires it
-	// directly); Q2's union merges two slices.
-	if got := countOps(ops, isUnion); got != 1 {
-		t.Errorf("unions = %d, want 1 (only Q2 needs one)", got)
+	// The fixed chain merges both slices once: Q1 reads the first slice
+	// alone and Q2 both, through the one shared union, whose test on the
+	// first slice replaces the sigma'_A mask filter of Figure 10.
+	if got := countOps(ops, isUnion); got != 1 || sp.shared == nil {
+		t.Errorf("unions = %d (shared %v), want the one shared union", got, sp.shared != nil)
 	}
-	// One sigma'_A group filters slice-1 results for Q2.
-	masks := countOps(ops, func(op operator.Operator) bool {
-		_, ok := op.(*operator.MaskFilter)
-		return ok
-	})
-	if masks != 1 {
-		t.Errorf("result-side mask filters = %d, want 1 (grouped)", masks)
+	if got := countOps(ops, isMaskFilter); got != 0 {
+		t.Errorf("result-side mask filters = %d, want 0 (tested inside the shared union)", got)
+	}
+	for qi, want := range [][]int{nil, {0, 1}} {
+		if got := sp.unionEdgeOrder(qi); !slices.Equal(got, want) {
+			t.Errorf("Q%d reads slices %v, want %v", qi+1, got, want)
+		}
+	}
+	// The same chain built migratable keeps Figure 10's wiring: a union
+	// for Q2 only and one grouped sigma'_A filter on the first slice.
+	mig, err := BuildStateSlice(figure10Workload(), StateSliceConfig{Migratable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := countOps(mig.Plan.Ops, isMaskFilter); got != 1 {
+		t.Errorf("migratable chain: result-side mask filters = %d, want 1 (grouped)", got)
+	}
+}
+
+// TestCPUOptFilteredStructure checks a CPU-Opt chain with selections and
+// routers: every slice's router and selection groups become tests of the
+// shared union, so no router or mask filter runs after the first slice —
+// or anywhere.
+func TestCPUOptFilteredStructure(t *testing.T) {
+	sel := stream.Threshold{S: 0.5}
+	w := Workload{
+		Queries: []Query{
+			{Window: 1 * stream.Second},
+			{Window: 2 * stream.Second, Filter: sel},
+			{Window: 3 * stream.Second},
+			{Window: 4 * stream.Second, Filter: stream.Threshold{S: 0.3}},
+			{Window: 6 * stream.Second, Filter: sel},
+			{Window: 8 * stream.Second, Filter: stream.Threshold{S: 0.2}},
+		},
+		Join: stream.FractionMatch{S: 0.1},
+	}
+	ends := []stream.Time{2 * stream.Second, 4 * stream.Second, 8 * stream.Second}
+	sp, err := BuildStateSlice(w, StateSliceConfig{Ends: ends})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The per-query wiring of the same chain needs a router on every
+	// slice (two inside windows each) and selection groups after them.
+	mig, err := BuildStateSlice(w, StateSliceConfig{Ends: ends, Migratable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := countOps(mig.Plan.Ops, isRouter); got != 3 {
+		t.Errorf("migratable chain: routers = %d, want 3", got)
+	}
+	if got := countOps(mig.Plan.Ops, isMaskFilter); got == 0 {
+		t.Error("migratable chain: want mask filters after the slices")
+	}
+	ops := sp.Plan.Ops
+	first := slices.IndexFunc(ops, func(op operator.Operator) bool { return op == operator.Operator(sp.slices[0].join) })
+	for _, op := range ops[first+1:] {
+		if isRouter(op) || isMaskFilter(op) {
+			t.Errorf("%s runs after the first slice; want it tested inside the shared union", op.Name())
+		}
+	}
+	if got := countOps(ops, isRouter) + countOps(ops, isMaskFilter); got != 0 {
+		t.Errorf("routers + mask filters = %d, want 0", got)
+	}
+	if got := countOps(ops, isUnion); got != 1 || sp.shared == nil || sp.shared.Inputs() != 3 {
+		t.Errorf("unions = %d, want the one shared union with an input per slice", got)
+	}
+	// One gate, before the slice at 4s: the 3s query is unfiltered.
+	if got := countOps(ops, isLineageGate); got != 1 {
+		t.Errorf("gates = %d, want 1", got)
 	}
 }
 
