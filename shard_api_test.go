@@ -454,7 +454,7 @@ func TestWithShardsExplain(t *testing.T) {
 	// The executor line must name the real partitioning function — the
 	// partitioner mixes through splitmix64 before the modulo, so a plain
 	// "hash(Key) mod p" would misdescribe how clustered keys spread.
-	for _, wantSub := range []string{"shards=4", "splitmix64(Key) mod 4", "mergers", "auto workers"} {
+	for _, wantSub := range []string{"shards=4", "splitmix64(Key) mod 4", "mergers", "one merge goroutine per founding query"} {
 		if s := p.Explain(); !strings.Contains(s, wantSub) {
 			t.Errorf("Explain missing %q:\n%s", wantSub, s)
 		}

@@ -347,7 +347,7 @@ func (p *shardedPlan) Explain() string {
 		fmt.Fprintf(&b, "  executor: %s -> %d chain replicas (one engine goroutine each) -> %d per-slice merges + one shared union with a prefix output per query, on one assembly goroutine\n",
 			part, p.shards, len(p.ends))
 	} else {
-		fmt.Fprintf(&b, "  executor: %s -> %d chain replicas (one engine goroutine each) -> %d order-preserving per-query mergers on auto workers\n",
+		fmt.Fprintf(&b, "  executor: %s -> %d chain replicas (one engine goroutine each) -> %d order-preserving per-query mergers, one merge goroutine per founding query\n",
 			part, p.shards, len(p.slots))
 	}
 	if p.sess != nil {
