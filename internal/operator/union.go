@@ -70,9 +70,6 @@ func (u *Union) AttachInput(q *stream.Queue) {
 	u.ins = append(u.ins, q)
 	u.frontiers = append(u.frontiers, -1)
 	u.readers = append(u.readers, r)
-	if u.sel != nil {
-		u.sel.ins = append(u.sel.ins, selInput{})
-	}
 }
 
 // CloseInput marks an input as finished: no further tuples will ever be

@@ -27,8 +27,8 @@ import (
 // slice without a union — so the union charges it nothing.
 //
 // A selecting union only serves its selecting outputs: Out and AddOutput
-// are not pushed, and its inputs must all be registered before the first
-// selecting output is added.
+// are not pushed. Its inputs are all registered with AddSelectingInput,
+// before the first selecting output is added.
 
 // MaskTest is one mask group of a selecting input: the MaskFilter test of
 // query bit Query on the checked sides, applied to the results that reach it
@@ -118,7 +118,7 @@ func (u *Union) AddSelectingInput(windows []stream.Time, testLast bool, groups [
 	}
 	s := u.selecting()
 	q := u.AddInput()
-	s.ins[len(s.ins)-1] = in
+	s.ins = append(s.ins, in)
 	return q, nil
 }
 
@@ -247,6 +247,8 @@ func (u *Union) stepSelecting(m *CostMeter, max int) int {
 		minFrontier := stream.MaxTime
 		for i, q := range u.ins {
 			if q.Empty() {
+				// An empty input constrains emission to its
+				// frontier, raised to the floor.
 				f := u.frontiers[i]
 				if f < floor {
 					f = floor
