@@ -121,6 +121,7 @@ type LineageMark struct {
 	// the paper's experiments, and what keeps the measured filter cost
 	// equal to the single-sigma term of Eq. (3)).
 	identical [2]bool
+	last      stream.Time // see Last
 }
 
 // NewLineageMark builds the marker for the given per-query predicates on
@@ -130,7 +131,7 @@ func NewLineageMark(name string, condsA, condsB []stream.Predicate, in *stream.Q
 	if condsB == nil {
 		condsB = make([]stream.Predicate, len(condsA))
 	}
-	lm := &LineageMark{name: name, in: in}
+	lm := &LineageMark{name: name, in: in, last: -1}
 	lm.conds[stream.StreamA] = condsA
 	lm.conds[stream.StreamB] = condsB
 	for s, conds := range lm.conds {
@@ -158,6 +159,11 @@ func NewLineageMark(name string, condsA, condsB []stream.Predicate, in *stream.Q
 // Out exposes the output port.
 func (l *LineageMark) Out() *Port { return &l.out }
 
+// Last returns the timestamp of the last tuple or punctuation the marker
+// consumed, -1 before the first. Every later input carries a timestamp at or
+// above it.
+func (l *LineageMark) Last() stream.Time { return l.last }
+
 // Name implements Operator.
 func (l *LineageMark) Name() string { return l.name }
 
@@ -172,10 +178,14 @@ func (l *LineageMark) Step(m *CostMeter, max int) int {
 		n++
 		m.invoke(1)
 		if it.IsPunct() {
+			if it.Punct > l.last {
+				l.last = it.Punct
+			}
 			l.out.Push(it)
 			continue
 		}
 		t := it.Tuple
+		l.last = t.Time
 		l.mark(m, t)
 		if t.Level == 0 {
 			// The tuple satisfies no query's condition on its own

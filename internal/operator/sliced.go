@@ -156,18 +156,12 @@ type ChainInput struct {
 	name string
 	in   *stream.Queue
 	out  Port
-	last stream.Time // see Last
 }
 
 // NewChainInput builds the role splitter over the input queue.
 func NewChainInput(name string, in *stream.Queue) *ChainInput {
-	return &ChainInput{name: name, in: in, last: -1}
+	return &ChainInput{name: name, in: in}
 }
-
-// Last returns the timestamp of the last tuple or punctuation the splitter
-// consumed, -1 before the first. Every later input carries a timestamp at or
-// above it.
-func (c *ChainInput) Last() stream.Time { return c.last }
 
 // Out exposes the output port feeding the first slice.
 func (c *ChainInput) Out() *Port { return &c.out }
@@ -186,14 +180,10 @@ func (c *ChainInput) Step(m *CostMeter, max int) int {
 		n++
 		m.invoke(1)
 		if it.IsPunct() {
-			if it.Punct > c.last {
-				c.last = it.Punct
-			}
 			c.out.Push(it)
 			continue
 		}
 		t := it.Tuple
-		c.last = t.Time
 		c.out.Push(stream.RoleItem(t, stream.RoleFemale))
 		c.out.Push(stream.RoleItem(t, stream.RoleMale))
 	}

@@ -185,12 +185,17 @@ func TestQuiescentFloorReleasesGatedChain(t *testing.T) {
 		t.Fatalf("Q1 holds %d results after the feed, want its one match delivered", got)
 	}
 	if got := sp.quiescentFloor(); got != a.Time {
-		t.Errorf("floor = %s at quiescence, want the last consumed time %s", got, a.Time)
+		t.Errorf("floor = %s at quiescence, want the marker's last consumed time %s", got, a.Time)
 	}
-	// While any queue inside the chain holds an item the floor is unset:
-	// the gate's input, then the second slice's.
+	// While any queue after the lineage marker holds an item the floor is
+	// unset: the chain input's, the gate's, then the second slice's.
+	sp.mark.Out().PushPunct(a.Time)
+	if got := sp.quiescentFloor(); got != -1 {
+		t.Errorf("floor = %s with the chain input's queue busy, want -1", got)
+	}
+	sp.chainIn.Step(nil, -1)
+	sp.slices[0].join.Step(nil, -1)
 	gate, second := sp.slices[1].gate, sp.slices[1].join
-	sp.slices[0].join.Next().PushPunct(a.Time)
 	if got := sp.quiescentFloor(); got != -1 {
 		t.Errorf("floor = %s with the gate's input busy, want -1", got)
 	}

@@ -58,6 +58,7 @@ type StateSlicePlan struct {
 	w        Workload
 	cfg      StateSliceConfig
 	entryOps []operator.Operator
+	mark     *operator.LineageMark // nil without lineage-marked selections
 	chainIn  *operator.ChainInput
 	slices   []*sliceNode
 	unions   []*operator.Union // per query slot; nil when wired directly to the sink or read from shared
@@ -150,9 +151,9 @@ func BuildStateSlice(w Workload, cfg StateSliceConfig) (*StateSlicePlan, error) 
 				condsA[i] = q.filterOrTrue()
 				condsB[i] = q.filterBOrTrue()
 			}
-			mark := operator.NewLineageMark("lineage", condsA, condsB, entryQ)
-			sp.entryOps = append(sp.entryOps, mark)
-			chainFeed = mark.Out().NewQueue()
+			sp.mark = operator.NewLineageMark("lineage", condsA, condsB, entryQ)
+			sp.entryOps = append(sp.entryOps, sp.mark)
+			chainFeed = sp.mark.Out().NewQueue()
 		} else {
 			for _, side := range []stream.ID{stream.StreamA, stream.StreamB} {
 				d := sp.disjunction(0, side)
@@ -663,24 +664,29 @@ func (sp *StateSlicePlan) wireShared() error {
 		}
 		port.AttachFunc(sp.sinks[qi].Accept)
 	}
-	sp.shared.SetFloor(sp.quiescentFloor)
+	if slices.ContainsFunc(sp.slices, func(n *sliceNode) bool { return n.gate != nil }) {
+		sp.shared.SetFloor(sp.quiescentFloor)
+	}
 	return nil
 }
 
-// quiescentFloor is the shared union's frontier floor: while no queue inside
-// the chain holds an item — no gate or slice input — every slice has
-// finished with every tuple the chain input consumed, so no slice will emit
-// a result older than the chain input's last consumed time. A lineage gate
-// drops tuples, and the slices behind it punctuate only for what it passes;
-// the floor stands in for the punctuations they did not send. -1 while any
-// chain queue is busy.
+// quiescentFloor is the shared union's frontier floor on a chain with
+// lineage gates: while no queue after the lineage marker holds an item — the
+// chain input's, a gate's or a slice's — every slice has finished with every
+// tuple the marker consumed, so no slice will emit a result older than the
+// marker's last consumed time. A gate drops tuples, and the slices behind it
+// punctuate only for what it passes; the floor stands in for the
+// punctuations they did not send. -1 while any of those queues is busy.
 func (sp *StateSlicePlan) quiescentFloor() stream.Time {
+	if sp.chainIn.Pending() {
+		return -1
+	}
 	for _, n := range sp.slices {
 		if n.join.Pending() || (n.gate != nil && n.gate.Pending()) {
 			return -1
 		}
 	}
-	return sp.chainIn.Last()
+	return sp.mark.Last()
 }
 
 // connect attaches one query terminal to a result source port.
