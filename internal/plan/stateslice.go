@@ -609,8 +609,8 @@ func (sp *StateSlicePlan) wireSliceResults(si int) error {
 
 // wireShared feeds every slice's raw results into the shared union once,
 // input i being slice i, and gives each query an output reading the prefix
-// of slices up to its window. When no slice needs a router or a selection,
-// the union is a plain merge: the query spanning every slice reads Out, the
+// of slices up to its window. When no slice needs a router or a selection
+// (the RawSliceResults predicate), the union is a plain merge: the query spanning every slice reads Out, the
 // others read prefix outputs, and a query the first slice serves alone reads
 // that slice's port itself. Otherwise each input carries its slice's router
 // and selection groups as tests, and every query reads a selecting output
@@ -618,13 +618,7 @@ func (sp *StateSlicePlan) wireSliceResults(si int) error {
 // its per-query wiring had no union), with the chain's quiescence as the
 // union's frontier floor.
 func (sp *StateSlicePlan) wireShared() error {
-	res := make([]sliceResults, len(sp.slices))
-	plain := true
-	for si := range sp.slices {
-		res[si] = sp.sliceResults(si)
-		plain = plain && res[si].windows == nil && len(res[si].groups) == 0
-	}
-	if plain {
+	if validateRawSliceResults(sp.w, sp.Ends(), sp.cfg) == nil {
 		first := sp.slices[0].join.Result()
 		for qi, q := range sp.w.Queries {
 			k := sp.sliceOf(q.Window) + 1
@@ -644,16 +638,17 @@ func (sp *StateSlicePlan) wireShared() error {
 	}
 	reads := make([][]operator.Read, len(sp.w.Queries))
 	for si, n := range sp.slices {
-		groups := make([]operator.MaskTest, len(res[si].groups))
-		for g, gr := range res[si].groups {
+		res := sp.sliceResults(si)
+		groups := make([]operator.MaskTest, len(res.groups))
+		for g, gr := range res.groups {
 			groups[g] = operator.MaskTest{Query: gr.qi, CheckA: gr.needA, CheckB: gr.needB, Branch: gr.branch}
 		}
-		in, err := sp.shared.AddSelectingInput(res[si].windows, res[si].testLast, groups)
+		in, err := sp.shared.AddSelectingInput(res.windows, res.testLast, groups)
 		if err != nil {
 			return fmt.Errorf("plan: %w", err)
 		}
 		n.join.Result().Attach(in)
-		for _, rd := range res[si].reads {
+		for _, rd := range res.reads {
 			reads[rd.qi] = append(reads[rd.qi], operator.Read{Branch: rd.branch, Group: rd.group})
 		}
 	}
