@@ -610,13 +610,13 @@ func (sp *StateSlicePlan) wireSliceResults(si int) error {
 // wireShared feeds every slice's raw results into the shared union once,
 // input i being slice i, and gives each query an output reading the prefix
 // of slices up to its window. When no slice needs a router or a selection
-// (the RawSliceResults predicate), the union is a plain merge: the query spanning every slice reads Out, the
-// others read prefix outputs, and a query the first slice serves alone reads
-// that slice's port itself. Otherwise each input carries its slice's router
-// and selection groups as tests, and every query reads a selecting output
-// (one reading the first slice alone is charged nothing by the union, as
-// its per-query wiring had no union), with the chain's quiescence as the
-// union's frontier floor.
+// (the RawSliceResults predicate), the union is a plain merge: the query
+// spanning every slice reads Out, the others read prefix outputs, and a
+// query the first slice serves alone reads that slice's port itself.
+// Otherwise each input carries its slice's router and selection groups as
+// tests, and every query reads a selecting output (one reading the first
+// slice alone is charged nothing by the union, as its per-query wiring had
+// no union), with the chain's quiescence as the union's frontier floor.
 func (sp *StateSlicePlan) wireShared() error {
 	if validateRawSliceResults(sp.w, sp.Ends(), sp.cfg) == nil {
 		first := sp.slices[0].join.Result()
