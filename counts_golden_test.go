@@ -148,7 +148,8 @@ func fanoutWorkload() stateslice.Workload {
 
 // fanoutCounts runs the fanout chain sequentially, then sharded at p = 1, 2
 // and 4 on the slice-merge topology (the default for a fixed unfiltered
-// chain) and on the per-query topology (WithMigratable).
+// chain) and on the per-query topology (WithMigratable), and last at p = 1
+// on both topologies with a drain after every input.
 func fanoutCounts(t *testing.T) string {
 	input, err := stateslice.Generate(stateslice.GeneratorConfig{
 		RateA: 20, RateB: 20, Duration: 40 * stateslice.Second, KeyDomain: 40, Seed: goldenSeed,
@@ -157,12 +158,32 @@ func fanoutCounts(t *testing.T) string {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	run := func(label string, shards int, opts ...stateslice.Option) {
+	// drained runs feed one tuple at a time and drain the session after
+	// each, so every replica's feed slab holds exactly one input whatever
+	// the goroutine schedule: the slab boundaries, and with them every
+	// count at p = 1, are a function of the input alone.
+	run := func(label string, shards int, drained bool, opts ...stateslice.Option) {
 		p, err := stateslice.Build(fanoutWorkload(), stateslice.MemOpt, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := p.Run(stateslice.SliceSource(input), stateslice.RunConfig{})
+		var res *stateslice.Result
+		if drained {
+			s, err := p.NewSession(stateslice.RunConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tu := range input {
+				if err := s.Feed(tu); err != nil {
+					t.Fatal(err)
+				}
+				s.Drain()
+			}
+			res = s.Finish()
+			err = res.Err
+		} else {
+			res, err = p.Run(stateslice.SliceSource(input), stateslice.RunConfig{})
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,11 +199,13 @@ func fanoutCounts(t *testing.T) string {
 		}
 		b.WriteString(line)
 	}
-	run("sequential", 0)
+	run("sequential", 0, false)
 	for _, p := range []int{1, 2, 4} {
-		run(fmt.Sprintf("p=%d slice-merge", p), p, stateslice.WithShards(p))
-		run(fmt.Sprintf("p=%d per-query", p), p, stateslice.WithShards(p), stateslice.WithMigratable())
+		run(fmt.Sprintf("p=%d slice-merge", p), p, false, stateslice.WithShards(p))
+		run(fmt.Sprintf("p=%d per-query", p), p, false, stateslice.WithShards(p), stateslice.WithMigratable())
 	}
+	run("p=1 slice-merge drained", 1, true, stateslice.WithShards(1))
+	run("p=1 per-query drained", 1, true, stateslice.WithShards(1), stateslice.WithMigratable())
 	return b.String()
 }
 
