@@ -20,7 +20,11 @@ import (
 // One goroutine owns the whole stage: the per-slice kmerges, the union and
 // the sinks. Replica taps send per-shard slabs over its one channel; after
 // each slab it steps that slice's merge, whose emitted spans land in the
-// union's input for the slice, and then the union. Since it is the only
+// union's input for the slice, and after the last slab of each replica
+// flush (sliceBatch.last) it steps the union, once per flush rather than
+// once per slice. That keeps the union's input queues bounded by one flush,
+// as stepping after every slab did, and the step schedule a function of the
+// replicas' flushes alone. Since it is the only
 // consumer, it cannot deadlock against a peer, and shutdown is one step:
 // stop closes the channel after the replicas have exited, and the loop
 // steps every merge once more — every input slab has been applied, so the
@@ -60,11 +64,14 @@ type assembler struct {
 	failed bool
 }
 
-// sliceBatch is one slab of a slice's result stream from one shard.
+// sliceBatch is one slab of a slice's result stream from one shard. last
+// marks the final slab of one replica flush; it may be empty, when every
+// slab of the flush left mid-step.
 type sliceBatch struct {
 	slice int
 	shard int
 	items []stream.Item
+	last  bool
 }
 
 // newAssembler wires the slice merges into one union with a prefix output
@@ -166,8 +173,9 @@ func (a *assembler) recoverFail() {
 	}
 }
 
-// apply folds one per-shard slab into its slice merge, steps the merge
-// (which pushes into the slice's union input) and steps the union.
+// apply folds one per-shard slab into its slice merge and steps the merge
+// (which pushes into the slice's union input); the last slab of a replica
+// flush then steps the union.
 func (a *assembler) apply(tb sliceBatch) {
 	defer a.recoverFail()
 	if err := fault.Fire(fault.AssembleApply, 0); err != nil {
@@ -176,10 +184,14 @@ func (a *assembler) apply(tb sliceBatch) {
 		recycleSlab(a.free, tb.items)
 		return
 	}
-	m := a.merges[tb.slice]
-	m.push(tb.shard, tb.items)
-	m.step()
-	a.union.Step(&a.meter, -1)
+	if len(tb.items) > 0 {
+		m := a.merges[tb.slice]
+		m.push(tb.shard, tb.items)
+		m.step()
+	}
+	if tb.last {
+		a.union.Step(&a.meter, -1)
+	}
 }
 
 // finish runs after the slice channel closes: every input slab has been

@@ -16,8 +16,8 @@ import (
 // Every replica runner keeps two things the fail-fast path never needs: a
 // periodic runner-local chain checkpoint, taken between feed slabs every
 // SnapshotEvery inputs, and a replay ring of every feed slab delivered since
-// that snapshot (the slabs are retained as-is — the feed path never recycles
-// them, so the ring is zero-copy). When the replica dies with a contained
+// that snapshot (the slabs are retained as-is — the runner recycles a feed
+// slab only when supervision is off, so the ring is zero-copy). When the replica dies with a contained
 // crash (a fault.PanicError), the runner — on its own goroutine, with the
 // rest of the executor running undisturbed — asks the supervisor for a
 // restart budget, rebuilds the chain from the snapshot, re-taps the new

@@ -104,14 +104,23 @@ const DefaultPunctEvery = 256
 // affects throughput, never correctness.
 const chanBuf = 32
 
-// feedSlab and feedBuf deliberately keep the feed edge fine-grained: one
-// input tuple amplifies into tens of result items per query, so a shard
-// running a large input lead floods the merge unions with items their
-// frontiers cannot release until the lagging shards catch up (the merge
-// channel itself cannot exert that backpressure — its consumer absorbs
-// batches unconditionally into the union queues). Capping a runner's lead
-// at (feedBuf+1)*feedSlab inputs bounds every merger queue to a small
-// multiple of the result amplification instead of the whole stream.
+// feedSlab and feedBuf cap the feed edge; they do not fix its batch size.
+// The driver sends a shard's slab as soon as the shard's feed channel is
+// empty — its replica is idle, and batching for an idle consumer only adds
+// latency — and otherwise once the slab holds feedSlab items, so slabs hold
+// one input when the replicas keep up and grow to feedSlab under load.
+//
+// The caps keep the edge fine-grained: one input tuple amplifies into tens
+// of result items per query, so a shard running a large input lead floods
+// the merge unions with items their frontiers cannot release until the
+// lagging shards catch up (the merge channel itself cannot exert that
+// backpressure — its consumer absorbs batches unconditionally into the
+// union queues). A shard's lead — the items in its feed channel plus its
+// batcher — is at most (feedBuf+1)*feedSlab inputs whatever the slab
+// sizes, because the channel holds feedBuf slabs of at most feedSlab items
+// and the driver blocks once the batcher fills behind a full channel. That
+// bounds every merger queue to a small multiple of the result
+// amplification instead of the whole stream.
 const (
 	feedSlab = 16
 	feedBuf  = 4
@@ -311,6 +320,10 @@ type replica struct {
 	out  []*outEdge // per-query (or per-slice) result edges, runner-owned
 	res  *engine.Result
 	err  error
+	// shipped records that a slice tap sent a full slab since the last
+	// flush, so a flush with nothing left to send still marks its end for
+	// the assembler (flushResults). Runner-owned.
+	shipped bool
 
 	// meterBase banks the cost meters of sessions retired by a rebalance
 	// rebuild, so Finish aggregates the whole run and the per-replica
@@ -553,8 +566,9 @@ func New(cfg Config, build func(shard int) (*plan.StateSlicePlan, error)) (*Exec
 	}
 
 	// Sized past the slabs that can be in flight at once (every merge
-	// channel and every batcher), so recycling rarely misses.
-	e.free = make(chan []stream.Item, (chanBuf+2)*queries+4*chanBuf)
+	// channel, every batcher and every feed edge), so recycling rarely
+	// misses.
+	e.free = make(chan []stream.Item, (chanBuf+2)*queries+4*chanBuf+(feedBuf+2)*cfg.Shards)
 
 	if cfg.SliceMerge {
 		e.asm = newAssembler(cfg.Shards, e.replicas[0].sp.Ends(), cfg.Windows, e.free, cfg, e.noteErr)
@@ -712,6 +726,7 @@ func (e *Executor) attachSliceTap(r *replica, j *operator.SlicedBinaryJoin, o *o
 			o.b.Add(it)
 			if o.b.Full() {
 				o.asmIn <- sliceBatch{slice: o.slice, shard: shardIdx, items: o.b.TakeWith(e.getSlab())}
+				r.shipped = true
 			}
 		})
 		return
@@ -732,6 +747,7 @@ func (e *Executor) attachSliceTap(r *replica, j *operator.SlicedBinaryJoin, o *o
 		o.b.Add(it)
 		if o.b.Full() {
 			o.asmIn <- sliceBatch{slice: o.slice, shard: shardIdx, items: o.b.TakeWith(e.getSlab())}
+			r.shipped = true
 		}
 	})
 }
@@ -810,8 +826,9 @@ func (e *Executor) runReplica(r *replica) {
 		// buffered slabs are drained but not fed — an aborted run never
 		// reports results as complete, so feeding up to (feedBuf+1)*feedSlab
 		// inputs through the whole chain would only buy teardown latency.
+		recorded := false
 		if r.err == nil && !e.closing.Load() {
-			if e.recoveryArmed(r) {
+			if recorded = e.recoveryArmed(r); recorded {
 				e.recordSlab(r, msg.items)
 			}
 			if err := e.feedReplica(r, msg.items); err != nil {
@@ -822,6 +839,11 @@ func (e *Executor) runReplica(r *replica) {
 			} else {
 				e.maybeSnapshot(r)
 			}
+		}
+		if !recorded {
+			// The session keeps the tuples, never the slab; only the
+			// replay ring aliases feed slabs.
+			recycleSlab(e.free, msg.items)
 		}
 		e.flushResults(r)
 	}
@@ -970,21 +992,34 @@ func (e *Executor) applyAttach(r *replica, c *attachCmd) error {
 // batchers are skipped before drawing a spare from the free list —
 // TakeWith discards the spare when there is nothing to seal, which would
 // bleed a recycled slab per idle output per flush.
+//
+// On the fast path the flush's last slab is marked, and the assembler
+// steps its union once per marked slab instead of once per slab. When
+// every slab of the flush already left mid-step (a tap ships full slabs
+// as they fill), an empty marked slab ends the flush instead, so what the
+// flush pushed still reaches the sinks before the next flush arrives.
 func (e *Executor) flushResults(r *replica) {
-	for _, o := range r.out {
+	last := -1
+	for i, o := range r.out {
+		if o.b.Len() > 0 {
+			last = i
+		}
+	}
+	for i, o := range r.out[:last+1] {
 		if o.b.Len() == 0 {
 			continue
 		}
 		items := o.b.TakeWith(e.getSlab())
-		if items == nil {
-			continue
-		}
 		if o.asmIn != nil {
-			o.asmIn <- sliceBatch{slice: o.slice, shard: r.idx, items: items}
+			o.asmIn <- sliceBatch{slice: o.slice, shard: r.idx, items: items, last: i == last}
 		} else {
 			o.mw.in <- taggedBatch{m: o.m, shard: r.idx, items: items}
 		}
 	}
+	if last < 0 && r.shipped {
+		e.asm.in <- sliceBatch{shard: r.idx, last: true}
+	}
+	r.shipped = false
 }
 
 // getSlab pops a recycled slab from the free list, or allocates a
@@ -1003,8 +1038,13 @@ func getSlab(free chan []stream.Item) []stream.Item {
 }
 
 // recycleSlab clears a fully-consumed slab and offers it back to the free
-// list, dropping it when the list is full.
+// list, dropping it when the list is full or when it is smaller than a
+// full slab (an empty flush marker, or a batcher's first slab grown by
+// append), which would make its next user regrow it.
 func recycleSlab(free chan []stream.Item, slab []stream.Item) {
+	if cap(slab) < stream.SlabCap {
+		return
+	}
 	clear(slab)
 	select {
 	case free <- slab[:0]:
@@ -1165,11 +1205,7 @@ func (e *Executor) feed(t *stream.Tuple) error {
 				c := v
 				tc = &c
 			}
-			b := &e.feedB[s]
-			b.Add(stream.TupleItem(tc))
-			if b.Len() >= feedSlab {
-				e.send(s)
-			}
+			e.enqueue(s, tc)
 		}
 		e.repFed += hi - lo + 1
 		if e.mon != nil {
@@ -1177,11 +1213,7 @@ func (e *Executor) feed(t *stream.Tuple) error {
 		}
 	} else {
 		s := e.part.Shard(t.Key)
-		b := &e.feedB[s]
-		b.Add(stream.TupleItem(t))
-		if b.Len() >= feedSlab {
-			e.send(s)
-		}
+		e.enqueue(s, t)
 		e.repFed++
 		if e.mon != nil {
 			e.mon.observe(t.Key, s, s)
@@ -1236,16 +1268,30 @@ func (e *Executor) pull(src stream.Source) (t *stream.Tuple, err error) {
 	return t, err
 }
 
-// send flushes shard s's pending feed slab. The send releases when the
-// executor context is cancelled — a stuck replica must not wedge the driver
-// (or Close's teardown) forever; the dropped slab is irrelevant, because an
-// aborted run never reports results as complete.
+// enqueue appends a tuple to shard s's feed slab and sends the slab when
+// the shard's feed channel is empty (its replica is idle) or the slab
+// reached feedSlab items (see feedSlab).
+func (e *Executor) enqueue(s int, t *stream.Tuple) {
+	b := &e.feedB[s]
+	b.Add(stream.TupleItem(t))
+	if b.Len() >= feedSlab || len(e.replicas[s].feed) == 0 {
+		e.send(s)
+	}
+}
+
+// send flushes shard s's pending feed slab, installing a recycled slab as
+// the batcher's next. The send releases when the executor context is
+// cancelled — a stuck replica must not wedge the driver (or Close's
+// teardown) forever; the dropped slab is irrelevant, because an aborted
+// run never reports results as complete.
 func (e *Executor) send(s int) {
-	if items := e.feedB[s].Take(); items != nil {
-		select {
-		case e.replicas[s].feed <- feedMsg{items: items}:
-		case <-e.ctxDone:
-		}
+	b := &e.feedB[s]
+	if b.Len() == 0 {
+		return
+	}
+	select {
+	case e.replicas[s].feed <- feedMsg{items: b.TakeWith(e.getSlab())}:
+	case <-e.ctxDone:
 	}
 }
 

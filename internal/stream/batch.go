@@ -43,22 +43,11 @@ func (b *Batcher) Full() bool { return len(b.buf) >= SlabCap }
 // Len returns the number of items currently buffered.
 func (b *Batcher) Len() int { return len(b.buf) }
 
-// Take seals and returns the current slab, leaving the batcher empty. It
-// returns nil when nothing is buffered.
-func (b *Batcher) Take() []Item {
-	if len(b.buf) == 0 {
-		return nil
-	}
-	out := b.buf
-	b.buf = make([]Item, 0, SlabCap)
-	return out
-}
-
-// TakeWith seals and returns the current slab like Take, but installs the
-// spare slice (emptied, capacity kept) as the new backing array instead of
-// allocating one. Executors recycle consumed slabs through it, keeping the
-// steady state allocation-free; a nil spare behaves like Take's fresh
-// allocation, deferred to the next Add.
+// TakeWith seals and returns the current slab, leaving the batcher empty,
+// and installs the spare slice (emptied, capacity kept) as the new backing
+// array. It returns nil, and discards the spare, when nothing is buffered.
+// Executors recycle consumed slabs through it, keeping the steady state
+// allocation-free; a nil spare defers the allocation to the next Add.
 func (b *Batcher) TakeWith(spare []Item) []Item {
 	if len(b.buf) == 0 {
 		return nil
