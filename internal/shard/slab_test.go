@@ -299,10 +299,16 @@ func TestStalledReplicaBoundsLead(t *testing.T) {
 	if got := len(e.replicas[0].feed); got != feedBuf {
 		t.Errorf("the stalled shard's feed channel holds %d slabs, want a full channel (%d)", got, feedBuf)
 	}
+	if !e.feedBlocked.Load() {
+		t.Error("the driver is blocked on a full feed channel, but feedBlocked is clear: the other runner keeps polling")
+	}
 
 	close(gate.release)
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+	if e.feedBlocked.Load() {
+		t.Error("feedBlocked is still set after the driver's Feed calls returned")
 	}
 	res, err := e.Finish()
 	if err != nil {
